@@ -17,6 +17,8 @@ from .pauli import ErrorBasis
 
 DEFAULT_KL_TOL = 1e-10
 
+ISOMETRY_TOL = 1e-8
+
 CODE_JSON_FORMAT = "klscope.code/1"
 
 
@@ -39,6 +41,11 @@ class CodeSubspace:
         b = np.array(self.basis, dtype=complex, order="C")
         if b.shape != (2 ** self.n, self.K):
             raise ValueError(f"basis shape {b.shape} != (2^{self.n}, {self.K})")
+        deviation = float(np.abs(b.conj().T @ b - np.eye(self.K)).max())
+        if deviation > ISOMETRY_TOL:
+            raise ValueError(
+                f"basis columns are not orthonormal: max|B^dag B - I| = {deviation:.3e}"
+            )
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
@@ -132,7 +139,9 @@ def signature_vector(code, basis, tol=DEFAULT_KL_TOL):
     if violation > tol:
         raise NotACodeError(violation, tol)
     diag = np.einsum("aii->ai", values)
-    assert np.abs(diag.imag).max() <= 1e-10
+    imag = float(np.abs(diag.imag).max())
+    if imag > 1e-10:
+        raise ValueError(f"KL diagonal has imaginary part {imag:.3e}")
     return SignatureVector(basis=basis, components=diag.real.mean(axis=1))
 
 

@@ -2,20 +2,23 @@
 
 A_j = K^-2 sum_{wt(O)=j} Tr(O P) Tr(O^dag P) and
 B_j = K^-1 sum_{wt(O)=j} Tr(O P O^dag P), summed over all 4^n Pauli words.
-Traces use the low-rank factorization of P: Tr(O P) = sum_i <psi_i|O|psi_i>,
-so each word costs O(2^n K) instead of O(4^n).
+They are computed in Rains' subset-purity form (E. Rains, "Quantum weight
+enumerators", IEEE Trans. Inf. Theory 44, 1998): for a qubit subset S with
+rho_S = Tr_{S^c} P, the words supported inside S sum to
+sum_{supp(O) in S} Tr(O P) Tr(O^dag P) = 2^|S| Tr(rho_S^2) and
+sum_{supp(O) in S} Tr(O P O^dag P) = 2^|S| Tr(rho_{S^c}^2).
+Summing over |S| = s gives A'_s = sum_j C(n-j, s-j) A_j, and B'_s the same
+way; binomial inversion recovers A_j and B_j.  Each of the 2^n purities is
+one Gram matrix of the 2^n x K codeword block reshaped to S versus the rest.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import parity_signs
-
-MAX_ENUMERATOR_QUBITS = 8
-
-PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+MAX_ENUMERATOR_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -25,50 +28,29 @@ class WeightEnumerator:
     B: np.ndarray
 
 
-def _popcounts(values):
-    out = np.zeros_like(values)
-    v = values.copy()
-    while v.any():
-        out += v & 1
-        v >>= 1
-    return out
-
-
-def weight_enumerators(code, chunk=2048):
-    """Enumerate all 4^n Pauli words and bucket the two trace sums by weight."""
+def weight_enumerators(code):
+    """A_j and B_j from the 2^n subset purities Tr(rho_S^2)."""
     n, K = code.n, code.K
     if n > MAX_ENUMERATOR_QUBITS:
         raise ValueError(f"enumerator guard: n={n} exceeds {MAX_ENUMERATOR_QUBITS}")
-    dim = 2 ** n
-    psi = code.basis
-    signs = parity_signs(n).astype(float)
-    xs = np.arange(dim, dtype=np.intp)
-
-    # every word is an (x-flip mask, z-sign mask) pair
-    words = np.arange(4 ** n, dtype=np.intp)
-    xmasks_all = words >> n
-    zmasks_all = words & (dim - 1)
-    weights_all = _popcounts(xmasks_all | zmasks_all)
-
-    A = np.zeros(n + 1)
-    B = np.zeros(n + 1)
-    for start in range(0, 4 ** n, chunk):
-        xm = xmasks_all[start:start + chunk]
-        zm = zmasks_all[start:start + chunk]
-        wt = weights_all[start:start + chunk]
-        ycount = _popcounts(xm & zm)
-        perm = xs[None, :] ^ xm[:, None]                       # (c, dim)
-        amp = signs[perm & zm[:, None]]                        # (c, dim) real, input-indexed
-        phase = np.array(PHASES, dtype=complex)[ycount % 4]    # (c,)
-        op_psi = amp[:, :, None] * psi[perm, :]                # (c, dim, K)
-        slices = np.einsum("mk,cml->ckl", psi.conj(), op_psi)  # (c, K, K)
-        slices *= phase[:, None, None]
-        tr = np.einsum("ckk->c", slices)
-        A += np.bincount(wt, weights=np.abs(tr) ** 2, minlength=n + 1)
-        B += np.bincount(
-            wt, weights=np.sum(np.abs(slices) ** 2, axis=(1, 2)), minlength=n + 1
-        )
-    return WeightEnumerator(n=n, A=A / K ** 2, B=B / K)
+    psi = code.basis.reshape((2,) * n + (K,))
+    a_prime = np.zeros(n + 1)  # A'_s = sum_{|S|=s} 2^s Tr(rho_S^2)
+    b_prime = np.zeros(n + 1)  # B'_s = sum_{|S|=s} 2^s Tr(rho_{S^c}^2)
+    for s in range(n + 1):
+        for keep in itertools.combinations(range(n), s):
+            rest = [q for q in range(n) if q not in keep]
+            m = psi.transpose(list(keep) + rest + [n]).reshape(2 ** s, -1)
+            # rho_S = m m^dag; m^dag m has the same nonzero spectrum
+            gram = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m
+            purity = np.vdot(gram, gram).real
+            a_prime[s] += 2 ** s * purity
+            b_prime[n - s] += 2 ** (n - s) * purity  # keep is S^c of an (n-s)-subset
+    inverse = np.array(
+        [[(-1) ** (j - s) * math.comb(n - s, j - s) if s <= j else 0
+          for s in range(n + 1)] for j in range(n + 1)],
+        dtype=float,
+    )
+    return WeightEnumerator(n=n, A=inverse @ a_prime / K ** 2, B=inverse @ b_prime / K)
 
 
 def closed_form_723(lam):

@@ -432,7 +432,9 @@ def cyclic_coeffs_from_lambda(lam, branch_c1=-1, branch_c3=-1):
     c2 = -2 * c3 + SQRT7 * c0
     coeffs = CyclicCoeffs(c0=c0, c1=c1, c2=c2, c3=c3, c4=c4,
                           branch_c1=branch_c1, branch_c3=branch_c3)
-    assert np.abs(cyclic_constraint_residuals(coeffs)).max() <= 1e-12
+    residual = float(np.abs(cyclic_constraint_residuals(coeffs)).max())
+    if residual > 1e-12:
+        raise ValueError(f"cyclic coefficients miss the constraints by {residual:.3e}")
     return coeffs
 
 

@@ -228,7 +228,9 @@ def enumerate_error_basis(n, d):
         words.sort()
         ops.extend(PauliString(w_) for w_ in words)
     basis = ErrorBasis(n=n, d=d, ops=tuple(ops))
-    assert len(basis) == expected_error_basis_size(n, d)
+    if len(basis) != expected_error_basis_size(n, d):
+        raise ValueError(f"error basis has {len(basis)} words, expected "
+                         f"{expected_error_basis_size(n, d)}")
     return basis
 
 

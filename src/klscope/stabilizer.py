@@ -1,13 +1,14 @@
 """Stabilizer codes: generator parsing, codeword extraction, built-in codes.
 
 The code space of a stabilizer group is the joint +1 eigenspace of its
-generators, extracted by sequentially applying the projectors (I + g)/2 to
-the full space and re-orthonormalizing with largest-pivot column selection.
+generators.  It is the range of the dense projector prod_g (I + g)/2, read
+off from one column-pivoted QR factorization of that projector.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .codespace import CodeSubspace
 from .pauli import apply_pauli, commutes, phased_pauli_from_string
@@ -90,38 +91,6 @@ def parse_generators(rows):
     return StabilizerCode(n=n, generators=tuple(gens))
 
 
-def _pivoted_orthonormal_columns(mat, tol=1e-8):
-    """Gram-Schmidt with largest-pivot column selection; drops null columns."""
-    work = [np.array(mat[:, j]) for j in range(mat.shape[1])]
-    out = []
-    while True:
-        norms = [np.linalg.norm(v) for v in work]
-        if not norms or max(norms) <= tol:
-            break
-        j = int(np.argmax(norms))
-        u = work.pop(j) / norms[j]
-        out.append(u)
-        work = [v - u * (u.conj() @ v) for v in work]
-    return np.stack(out, axis=1) if out else np.zeros((mat.shape[0], 0))
-
-
-def codespace_from_stabilizer(code):
-    """Orthonormal basis of the joint +1 eigenspace of the generators."""
-    dim = 2 ** code.n
-    basis = np.eye(dim, dtype=complex)
-    for g in code.generators:
-        sign = g.phase.real
-        basis = (basis + sign * apply_pauli(g.word, basis)) / 2
-        basis = _pivoted_orthonormal_columns(basis)
-        if basis.shape[1] == 0:
-            raise ValueError(f"empty joint eigenspace after generator {g}")
-    if basis.shape[1] != code.K:
-        raise ValueError(
-            f"eigenspace dimension {basis.shape[1]} != expected K={code.K}"
-        )
-    return CodeSubspace(n=code.n, K=code.K, basis=basis)
-
-
 def stabilizer_projector(code):
     """Dense product of (I + g)/2 over the generators."""
     dim = 2 ** code.n
@@ -129,6 +98,21 @@ def stabilizer_projector(code):
     for g in code.generators:
         proj = (proj + g.phase.real * apply_pauli(g.word, proj)) / 2
     return proj
+
+
+def codespace_from_stabilizer(code):
+    """Orthonormal basis of the joint +1 eigenspace of the generators.
+
+    The first K columns of Q in the pivoted QR of the projector span its
+    range; the rank is the number of |diag R| above 1e-8.
+    """
+    q, r, _ = scipy.linalg.qr(stabilizer_projector(code), mode="economic", pivoting=True)
+    rank = int(np.sum(np.abs(np.diag(r)) > 1e-8))
+    if rank == 0:
+        raise ValueError("empty joint eigenspace of the generators")
+    if rank != code.K:
+        raise ValueError(f"eigenspace dimension {rank} != expected K={code.K}")
+    return CodeSubspace(n=code.n, K=code.K, basis=q[:, :rank])
 
 
 def builtin(name):

@@ -1,7 +1,15 @@
 import json
 import math
 
-from klscope.codespace import code_from_json, kl_violation, lambda_star, signature_vector
+import pytest
+
+from klscope.codespace import (
+    code_from_json,
+    code_to_json,
+    kl_violation,
+    lambda_star,
+    signature_vector,
+)
 from klscope.driver import (
     SWEEP_CSV_HEADER,
     SweepRow,
@@ -13,6 +21,8 @@ from klscope.driver import (
 )
 from klscope.optimizer import OptimizerConfig
 from klscope.pauli import enumerate_error_basis
+
+from literature_codes import SHOR_913
 
 
 def fast_config(**kw):
@@ -113,6 +123,35 @@ def test_cli_construct_verify_enumerate(tmp_path):
     assert lines[0] == "j,A_j,B_j"
     a4 = float(lines[5].split(",")[1])
     assert abs(a4 - 21.0) <= 1e-8
+
+
+def test_cli_shor_code_construct_verify_enumerate(tmp_path):
+    gens = tmp_path / "shor.txt"
+    gens.write_text("\n".join(SHOR_913) + "\n")
+    code_path = tmp_path / "shor.json"
+    assert main(["construct", "stabilizer", "--generators", str(gens),
+                 "--out", str(code_path)]) == 0
+    report_path = tmp_path / "report.json"
+    assert main(["verify", str(code_path), "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["valid"] is True and report["enumerator_consistent"] is True
+    assert abs(report["enumerator_lambda_sq"] - 9) <= 1e-9
+    enum_path = tmp_path / "enum.csv"
+    assert main(["enumerate", str(code_path), "--out", str(enum_path)]) == 0
+    lines = enum_path.read_text().strip().splitlines()
+    assert [int(ln.split(",")[0]) for ln in lines[1:]] == list(range(10))
+
+
+def test_non_isometric_code_json_rejected(tmp_path):
+    code, _ = construct_code("stabilizer", name="steane")
+    payload = json.loads(code_to_json(code))
+    payload["amplitudes"][1] = [[2 * re, 2 * im] for re, im in payload["amplitudes"][1]]
+    text = json.dumps(payload)
+    with pytest.raises(ValueError, match="orthonormal"):
+        code_from_json(text)
+    path = tmp_path / "scaled.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
 
 
 def test_cli_construct_family_roundtrip(tmp_path):

@@ -21,7 +21,9 @@ from klscope.families import (
     single_param_frame_623,
 )
 from klscope.pauli import dense_matrix, enumerate_error_basis, pauli_from_string
-from klscope.stabilizer import builtin, codespace_from_stabilizer
+from klscope.stabilizer import builtin, codespace_from_stabilizer, parse_generators
+
+from literature_codes import SHOR_913
 
 np_rng = np.random.default_rng(2718)
 
@@ -43,16 +45,17 @@ def brute_force_enumerator(code):
 
 
 def test_against_brute_force_small_n():
-    for K in (1, 2):
-        vecs = [np_rng.standard_normal(4) + 1j * np_rng.standard_normal(4) for _ in range(K)]
-        code = new_code(2, vecs)
+    for n, K in [(2, 1), (2, 2)] + [(n, K) for n in (3, 4) for K in (1, 2, 3)]:
+        dim = 2 ** n
+        vecs = [np_rng.standard_normal(dim) + 1j * np_rng.standard_normal(dim) for _ in range(K)]
+        code = new_code(n, vecs)
         A, B = brute_force_enumerator(code)
         we = weight_enumerators(code)
         assert np.abs(we.A - A).max() <= 1e-12
         assert np.abs(we.B - B).max() <= 1e-12
         assert abs(we.A[0] - 1) <= 1e-10
         assert abs(we.B[0] - 1) <= 1e-10
-        assert abs(we.A.sum() - 2 ** 2 / K) <= 1e-10
+        assert abs(we.A.sum() - dim / K) <= 1e-10
 
 
 def test_steane_exact_enumerator():
@@ -128,10 +131,26 @@ def test_b_dominates_a_on_codes():
 
 
 def test_enumerator_guard():
-    vecs = [np_rng.standard_normal(2 ** 9) + 0j]
-    code = new_code(9, vecs)
+    vecs = [np_rng.standard_normal(2 ** 13) + 0j]
+    code = new_code(13, vecs)
     with pytest.raises(ValueError, match="guard"):
         weight_enumerators(code)
+
+
+def test_shor_code_enumerator():
+    we = weight_enumerators(codespace_from_stabilizer(parse_generators(SHOR_913)))
+    assert abs(lambda_star_sq_from_enumerator(we) - 9) <= 1e-10
+    assert np.abs(we.B[:3] - we.A[:3]).max() <= 1e-10
+    assert np.abs(we.A[:3] - [1, 0, 9]).max() <= 1e-10
+
+
+def test_random_ten_qubit_sums():
+    n, K = 10, 4
+    vecs = [np_rng.standard_normal(2 ** n) + 1j * np_rng.standard_normal(2 ** n)
+            for _ in range(K)]
+    we = weight_enumerators(new_code(n, vecs))
+    assert abs(we.A.sum() - 2 ** n / K) <= 1e-9
+    assert abs(we.B.sum() - 2 ** n * K) <= 1e-9
 
 
 def test_csv_and_polynomial_text():

@@ -10,6 +10,8 @@ from klscope.stabilizer import (
     stabilizer_projector,
 )
 
+from literature_codes import CODE_513, GOTTESMAN_833, SHOR_913
+
 
 def test_builtin_tables():
     steane = builtin("steane")
@@ -73,10 +75,13 @@ def test_steane_code_lambda():
 
 
 def test_projector_identity():
-    for name in ("steane", "shaw623"):
-        stab = builtin(name)
+    codes = [builtin("steane"), builtin("shaw623")]
+    codes += [parse_generators(rows) for rows in (CODE_513, GOTTESMAN_833, SHOR_913)]
+    for stab in codes:
         code = codespace_from_stabilizer(stab)
-        assert np.abs(code.projector - stabilizer_projector(stab)).max() <= 1e-10
+        assert code.K == stab.K
+        assert np.abs(code.basis.conj().T @ code.basis - np.eye(code.K)).max() <= 1e-12
+        assert np.abs(code.projector - stabilizer_projector(stab)).max() <= 1e-12
 
 
 def test_stabilizer_signature_integrality():
