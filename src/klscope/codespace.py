@@ -104,28 +104,46 @@ class SignatureVector:
         return self.components[self.basis.index_of[str(word)]]
 
 
+def kl_block(psi, action):
+    """Apply stacked operators to an isometry and contract with it.
+
+    ``action`` is an (n_ops * dim, dim) sparse or dense stack of operators,
+    as in ``ErrorBasis.action``.  Returns (ops_psi, values) with
+    ops_psi[a] = O_a psi, shape (n_ops, dim, K), and
+    values[a, i, j] = <psi_i|O_a|psi_j>, shape (n_ops, K, K).
+    """
+    dim, K = psi.shape
+    ops_psi = (action @ psi).reshape(-1, dim, K)
+    return ops_psi, np.matmul(psi.conj().T, ops_psi)
+
+
+def kl_residual(values):
+    """KL residual of a (n_ops, K, K) block stack.
+
+    Returns (residual, mean, spread): the residual is the off-diagonal mass
+    plus the spread of each operator's real diagonal around its mean; mean
+    has shape (n_ops,) and spread (n_ops, K).
+    """
+    K = values.shape[1]
+    idx = np.arange(K)
+    diag = values[:, idx, idx].real  # a copy: faster downstream than a diagonal view
+    mean = diag.mean(axis=1)
+    spread = diag - mean[:, None]
+    off = values[:, ~np.eye(K, dtype=bool)]
+    return float(np.sum(np.abs(off) ** 2) + np.sum(spread ** 2)), mean, spread
+
+
 def kl_tensor(code, basis):
     """KL tensor values[a, i, j] = <psi_i|O_a|psi_j> over the error basis."""
     if basis.n != code.n:
         raise ValueError(f"basis on {basis.n} qubits, code on {code.n}")
-    perms, amps = basis.action
-    ops_psi = amps[:, :, None] * code.basis[perms, :]  # (n_ops, 2^n, K)
-    values = np.einsum("mi,amj->aij", code.basis.conj(), ops_psi)
+    _, values = kl_block(code.basis, basis.action)
     return KLTensor(basis=basis, values=values)
-
-
-def _violation_from_values(values):
-    K = values.shape[1]
-    diag = np.einsum("aii->ai", values).real
-    off_mask = ~np.eye(K, dtype=bool)
-    off = values[:, off_mask]
-    spread = diag - diag.mean(axis=1, keepdims=True)
-    return float(np.sum(np.abs(off) ** 2) + np.sum(spread ** 2))
 
 
 def kl_violation(code, basis):
     """Scalar KL residual: off-diagonal mass plus per-operator diagonal spread."""
-    return _violation_from_values(kl_tensor(code, basis).values)
+    return kl_residual(kl_tensor(code, basis).values)[0]
 
 
 def signature_vector(code, basis, tol=DEFAULT_KL_TOL):
@@ -135,14 +153,13 @@ def signature_vector(code, basis, tol=DEFAULT_KL_TOL):
     exceeds ``tol``.
     """
     values = kl_tensor(code, basis).values
-    violation = _violation_from_values(values)
+    violation, mean, _ = kl_residual(values)
     if violation > tol:
         raise NotACodeError(violation, tol)
-    diag = np.einsum("aii->ai", values)
-    imag = float(np.abs(diag.imag).max())
+    imag = float(np.abs(np.diagonal(values, axis1=1, axis2=2).imag).max())
     if imag > 1e-10:
         raise ValueError(f"KL diagonal has imaginary part {imag:.3e}")
-    return SignatureVector(basis=basis, components=diag.real.mean(axis=1))
+    return SignatureVector(basis=basis, components=mean)
 
 
 def lambda_star(sig):

@@ -88,9 +88,7 @@ def sweep(n, K, d, grid, mu=1000.0, config=None, done=None, on_row=None):
     """Scan target lambda*^2 values; returns rows sorted by target.
 
     ``done`` supplies already-completed rows (for resume); ``on_row`` is
-    called after each newly computed point, in grid order.  With
-    KLSCOPE_THREADS (or config.threads) above one, grid points run on a
-    worker pool and each point's restarts run serially.
+    called after each newly computed point, in grid order.
     """
     grid = list(grid)
     if not grid:
@@ -100,57 +98,42 @@ def sweep(n, K, d, grid, mu=1000.0, config=None, done=None, on_row=None):
     rows = list(done or [])
     have = {round(r.target_lambda_sq, 12) for r in rows}
     todo = [float(t) for t in grid if round(float(t), 12) not in have]
-
-    nthreads = _sweep_threads(cfg)
-    if nthreads <= 1 or len(todo) <= 1:
-        for target_sq in todo:
-            row = _sweep_point(n, K, basis, target_sq, mu, cfg)
-            rows.append(row)
-            if on_row is not None:
-                on_row(row)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        from dataclasses import replace
-
-        point_cfg = replace(cfg, threads=1)
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            futures = [
-                pool.submit(_sweep_point, n, K, basis, t, mu, point_cfg)
-                for t in todo
-            ]
-            for fut in futures:  # grid order, regardless of completion order
-                row = fut.result()
-                rows.append(row)
-                if on_row is not None:
-                    on_row(row)
+    for target_sq in todo:
+        row = _sweep_point(n, K, basis, target_sq, mu, cfg)
+        rows.append(row)
+        if on_row is not None:
+            on_row(row)
     rows.sort(key=lambda r: r.target_lambda_sq)
     return SweepResult(rows=rows)
 
 
-def _sweep_threads(cfg):
-    if cfg.threads is not None:
-        return max(1, int(cfg.threads))
-    env = os.environ.get("KLSCOPE_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
-
-
 def read_sweep_csv(text):
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0] != SWEEP_CSV_HEADER:
-        raise ValueError(f"bad sweep CSV header: {lines[:1]}")
+    """Rows of a sweep CSV; a malformed row raises ValueError naming its line."""
+    lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    header = lines[0][1] if lines else ""
+    if header != SWEEP_CSV_HEADER:
+        raise ValueError(f"bad sweep CSV header: {header!r}")
+    n_fields = SWEEP_CSV_HEADER.count(",") + 1
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
-        rows.append(
-            SweepRow(
-                target_lambda_sq=float(parts[0]),
-                final_loss=float(parts[1]),
-                kl_violation=float(parts[2]),
-                achieved_lambda_sq=float(parts[3]),
-                restarts_used=int(parts[4]),
-                wall_ms=int(parts[5]),
+        if len(parts) != n_fields:
+            raise ValueError(
+                f"sweep CSV line {lineno}: {len(parts)} fields, expected {n_fields}"
             )
-        )
+        try:
+            rows.append(
+                SweepRow(
+                    target_lambda_sq=float(parts[0]),
+                    final_loss=float(parts[1]),
+                    kl_violation=float(parts[2]),
+                    achieved_lambda_sq=float(parts[3]),
+                    restarts_used=int(parts[4]),
+                    wall_ms=int(parts[5]),
+                )
+            )
+        except ValueError as exc:
+            raise ValueError(f"sweep CSV line {lineno}: {exc}") from None
     return rows
 
 
@@ -267,6 +250,8 @@ def _cmd_sweep(args):
     if args.grid:
         grid = [float(x) for x in args.grid.split(",")]
     else:
+        if args.step <= 0:
+            raise ValueError(f"--step must be positive, got {args.step}")
         n_steps = int(round((args.to - getattr(args, "from")) / args.step))
         grid = [getattr(args, "from") + k * args.step for k in range(n_steps + 1)]
     done = []
@@ -280,10 +265,16 @@ def _cmd_sweep(args):
     written = []
 
     def flush(rows):
+        # write a sibling temp file, then rename over the target, so a crash
+        # mid-write leaves the previous complete CSV in place
         text = SWEEP_CSV_HEADER + "\n" + "".join(r.csv() + "\n" for r in rows)
         if out_path not in (None, "-"):
-            with open(out_path, "w") as fh:
+            tmp_path = out_path + ".tmp"
+            with open(tmp_path, "w") as fh:
                 fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp_path, out_path)
 
     def on_row(row):
         written.append(row)
@@ -398,8 +389,8 @@ def _cmd_jnr(args):
     with open(args.operators) as fh:
         words = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
     mats = [dense_matrix(pauli_from_string(w)) for w in words]
-    cfg = OptimizerConfig(seed=args.seed, restarts=args.restarts or 200,
-                          max_iters=args.max_iters)
+    restarts = args.restarts if args.restarts is not None else 200
+    cfg = OptimizerConfig(seed=args.seed, restarts=restarts, max_iters=args.max_iters)
     points = jnr_feasibility(mats, args.K, cfg)
     lines = [",".join(words) + ",residual,hits"]
     for p in points:

@@ -246,16 +246,10 @@ SO4_CORRESPONDENCE = {
     "K1": (-1.0, "ZL"),
 }
 
-_SIGMA = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 def _rot2(axis, theta):
     """exp(-i theta sigma_axis)."""
-    return math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * _SIGMA[axis]
+    sigma = dense_matrix(pauli_from_string(axis))
+    return math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * sigma
 
 
 def _expm_skew(m, theta):

@@ -5,22 +5,21 @@ theta (theta^dag theta)^{-1/2}; the losses combine the KL residual with a
 penalty weight mu and a length objective (minimize, maximize, hit a target
 length, or hit a target vector).  Gradients are analytic: the chain rule
 runs through the eigendecomposition of the K x K Gram matrix.  Each restart
-descends with L-BFGS (gradient-only quasi-Newton; a momentum + backtracking
-scheme is available as ``method="momentum"``), with the penalty weight
+descends with L-BFGS (gradient-only quasi-Newton), with the penalty weight
 escalated in stages so converged points meet the KL tolerance instead of
 the O(1/mu^2) single-stage penalty floor.
 """
 
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse
 
 from .codespace import (
     CodeSubspace,
+    kl_block,
+    kl_residual,
     kl_violation as codespace_kl_violation,
     signature_vector,
 )
@@ -67,17 +66,14 @@ class OptimizerConfig:
     max_iters: int = 2000
     kl_tol: float = 1e-10
     grad_tol: float = 1e-9
-    method: str = "lbfgs"  # or "momentum"
-    momentum: float = 0.9
-    step0: float = 1.0
-    armijo: float = 1e-4
-    step_grow: float = 1.3
-    step_shrink: float = 0.5
     mu_stages: tuple = (1.0, 1e3, 1e6)
-    loss_floor: float = 1e-26
     stop_on_loss: float | None = None  # end restarts early once reached
-    threads: int | None = None
     record_history: bool = False
+
+    def __post_init__(self):
+        for name in ("restarts", "max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -104,54 +100,17 @@ class OptimizationResult:
     history: list | None = None
 
 
-class _OperatorStack:
-    """Stack of Hermitian operators applied jointly to an isometry."""
-
-    n_ops: int
-    dim: int
-
-    def apply(self, psi):
-        """Return the (n_ops, dim, K) stack of O_a psi."""
-        raise NotImplementedError
-
-
-class _PauliStack(_OperatorStack):
-    """Signed-permutation Pauli words as one sparse (n_ops*dim, dim) matrix."""
-
-    def __init__(self, basis: ErrorBasis):
-        perms, amps = basis.action
-        self.n_ops, self.dim = perms.shape
-        rows = np.arange(self.n_ops * self.dim)
-        self.matrix = scipy.sparse.csr_matrix(
-            (amps.ravel(), (rows, perms.ravel())),
-            shape=(self.n_ops * self.dim, self.dim),
-        )
-
-    def apply(self, psi):
-        return (self.matrix @ psi).reshape(self.n_ops, self.dim, psi.shape[1])
-
-
-class _DenseStack(_OperatorStack):
-    def __init__(self, operators):
-        mats = np.stack([np.asarray(op, dtype=complex) for op in operators])
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError("operators must be square matrices of equal dimension")
-        herm_dev = np.abs(mats - mats.conj().transpose(0, 2, 1)).max()
-        if herm_dev > 1e-12:
-            raise ValueError(f"operators must be Hermitian (deviation {herm_dev:.2e})")
-        self.n_ops, self.dim = mats.shape[0], mats.shape[1]
-        self.mats = mats
-
-    def apply(self, psi):
-        return np.matmul(self.mats, psi)
-
-
-def _as_stack(ops):
-    if isinstance(ops, _OperatorStack):
-        return ops
+def _stacked_action(ops):
+    """(n_ops * dim, dim) operator stack of an ErrorBasis or of Hermitian matrices."""
     if isinstance(ops, ErrorBasis):
-        return _PauliStack(ops)
-    return _DenseStack(ops)
+        return ops.action
+    mats = np.stack([np.asarray(op, dtype=complex) for op in ops])
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError("operators must be square matrices of equal dimension")
+    herm_dev = np.abs(mats - mats.conj().transpose(0, 2, 1)).max()
+    if herm_dev > 1e-12:
+        raise ValueError(f"operators must be Hermitian (deviation {herm_dev:.2e})")
+    return mats.reshape(-1, mats.shape[2])
 
 
 def _polar(theta):
@@ -178,18 +137,12 @@ def stiefel_map(theta):
     return CodeSubspace(n=n, K=K, basis=psi)
 
 
-def _evaluate(theta, stack, spec, mu, want_grad):
+def _evaluate(theta, action, spec, mu, want_grad):
     """Loss (and gradient, KL residual, length^2) at theta."""
     psi, R, U, s = _polar(theta)
     K = psi.shape[1]
-    ops_psi = stack.apply(psi)
-    A = np.matmul(psi.conj().T[None, :, :], ops_psi)  # (n_ops, K, K)
-    idx = np.arange(K)
-    diag = A[:, idx, idx].real
-    mean = diag.mean(axis=1)
-    spread = diag - mean[:, None]
-    off_mask = ~np.eye(K, dtype=bool)
-    kl = float(np.sum(np.abs(A[:, off_mask]) ** 2) + np.sum(spread ** 2))
+    ops_psi, A = kl_block(psi, action)
+    kl, mean, spread = kl_residual(A)
     length_sq = float(mean @ mean)
 
     # kl_only is unweighted at the base stage; escalation still applies
@@ -221,6 +174,7 @@ def _evaluate(theta, stack, spec, mu, want_grad):
         g = (mean - spec.target_vector) / K
 
     # M_a = W_a + W_a^dag where dL = sum_a 2 Re tr(W_a^dag dA_a)
+    idx = np.arange(K)
     M = A + A.conj().transpose(0, 2, 1)
     M[:, idx, idx] = 0.0
     M *= mu_eff
@@ -237,7 +191,8 @@ def _evaluate(theta, stack, spec, mu, want_grad):
 
 def loss(theta, ops, spec):
     """Value of the selected loss at theta."""
-    val, _ = _evaluate(np.asarray(theta, dtype=complex), _as_stack(ops), spec, spec.mu, False)
+    theta = np.asarray(theta, dtype=complex)
+    val, _ = _evaluate(theta, _stacked_action(ops), spec, spec.mu, False)
     return val
 
 
@@ -247,68 +202,12 @@ def gradient(theta, ops, spec):
     A step theta - eta * gradient decreases the loss to first order; the
     directional derivative along a complex direction D is Re tr(grad^dag D).
     """
-    _, aux = _evaluate(np.asarray(theta, dtype=complex), _as_stack(ops), spec, spec.mu, True)
+    theta = np.asarray(theta, dtype=complex)
+    _, aux = _evaluate(theta, _stacked_action(ops), spec, spec.mu, True)
     return aux["grad"]
 
 
-def _real_inner(x, y):
-    return float(np.real(np.vdot(x, y)))
-
-
-def _descend_momentum(theta, stack, spec, mu, cfg, history=None, phase=0):
-    """Monotone descent: momentum direction, Armijo backtracking."""
-    f, aux = _evaluate(theta, stack, spec, mu, True)
-    velocity = None
-    step = cfg.step0
-    iters = 0
-    # the maximize loss is unbounded below by -length^2; no zero floor there
-    floor = -np.inf if spec.kind == "maximize_length" else cfg.loss_floor
-    for _ in range(cfg.max_iters):
-        grad = aux["grad"]
-        gnorm = float(np.linalg.norm(grad))
-        if history is not None:
-            history.append((phase, iters, f, aux["kl"], gnorm))
-        if gnorm <= cfg.grad_tol or f <= floor:
-            break
-        if velocity is None:
-            velocity = grad.copy()
-        else:
-            velocity = cfg.momentum * velocity + grad
-        direction = -velocity
-        slope = _real_inner(grad, direction)
-        if slope >= -1e-18 * gnorm * np.linalg.norm(direction):
-            velocity = grad.copy()
-            direction = -grad
-            slope = -gnorm ** 2
-        accepted = False
-        for attempt in range(2):
-            t = step
-            for _ in range(60):
-                cand = theta + t * direction
-                try:
-                    f_new, aux_new = _evaluate(cand, stack, spec, mu, True)
-                except ConditioningError:
-                    t *= cfg.step_shrink
-                    continue
-                if f_new <= f + cfg.armijo * t * slope:
-                    theta, f, aux = cand, f_new, aux_new
-                    step = t * cfg.step_grow
-                    accepted = True
-                    break
-                t *= cfg.step_shrink
-            if accepted or attempt == 1:
-                break
-            # momentum direction failed even at tiny steps: reset and retry
-            velocity = grad.copy()
-            direction = -grad
-            slope = -gnorm ** 2
-        iters += 1
-        if not accepted:
-            break
-    return theta, f, aux, iters, iters >= cfg.max_iters
-
-
-def _descend_lbfgs(theta, stack, spec, mu, cfg, history=None, phase=0):
+def _descend_lbfgs(theta, action, spec, mu, cfg, history=None, phase=0):
     """One escalation stage of L-BFGS on the real-packed parameters."""
     m, K = theta.shape
 
@@ -320,7 +219,7 @@ def _descend_lbfgs(theta, stack, spec, mu, cfg, history=None, phase=0):
 
     def fun(x):
         try:
-            f, aux = _evaluate(unpack(x), stack, spec, mu, True)
+            f, aux = _evaluate(unpack(x), action, spec, mu, True)
         except ConditioningError:
             return np.inf, np.zeros_like(x)
         g = aux["grad"]
@@ -331,7 +230,7 @@ def _descend_lbfgs(theta, stack, spec, mu, cfg, history=None, phase=0):
         counter = [0]
 
         def callback(xk):
-            f, aux = _evaluate(unpack(xk), stack, spec, mu, False)
+            f, aux = _evaluate(unpack(xk), action, spec, mu, False)
             history.append((phase, counter[0], f, aux["kl"], np.nan))
             counter[0] += 1
 
@@ -344,27 +243,11 @@ def _descend_lbfgs(theta, stack, spec, mu, cfg, history=None, phase=0):
         options=dict(maxiter=cfg.max_iters, ftol=1e-20, gtol=cfg.grad_tol, maxcor=20),
     )
     theta = unpack(res.x)
-    f, aux = _evaluate(theta, stack, spec, mu, True)
+    f, aux = _evaluate(theta, action, spec, mu, True)
     return theta, f, aux, int(res.nit), res.status == 1  # status 1: maxiter hit
 
 
-def _descend(theta, stack, spec, mu, cfg, history=None, phase=0):
-    if cfg.method == "momentum":
-        return _descend_momentum(theta, stack, spec, mu, cfg, history, phase)
-    if cfg.method == "lbfgs":
-        return _descend_lbfgs(theta, stack, spec, mu, cfg, history, phase)
-    raise ValueError(f"unknown method {cfg.method!r}")
-
-
-def _thread_count(cfg):
-    if cfg.threads is not None:
-        return max(1, int(cfg.threads))
-    env = os.environ.get("KLSCOPE_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
-
-
-def _run_restart(args):
-    seed_index, seq, m, K, stack, spec, cfg = args
+def _run_restart(seed_index, seq, m, K, action, spec, cfg):
     rng = np.random.default_rng(seq)
     while True:
         theta = (rng.standard_normal((m, K)) + 1j * rng.standard_normal((m, K))) / np.sqrt(2)
@@ -378,12 +261,12 @@ def _run_restart(args):
     final_gnorm = np.inf
     exhausted = False
     for phase, scale in enumerate(cfg.mu_stages):
-        theta, f, aux, iters, exhausted = _descend(
-            theta, stack, spec, spec.mu * scale, cfg, history=history, phase=phase
+        theta, f, aux, iters, exhausted = _descend_lbfgs(
+            theta, action, spec, spec.mu * scale, cfg, history=history, phase=phase
         )
         total_iters += iters
         final_gnorm = float(np.linalg.norm(aux["grad"]))
-    base_loss, base_aux = _evaluate(theta, stack, spec, spec.mu, False)
+    base_loss, base_aux = _evaluate(theta, action, spec, spec.mu, False)
     return {
         "seed_index": seed_index,
         "theta": theta,
@@ -403,30 +286,15 @@ def _run_restart(args):
 def optimize(n, K, ops, spec, config=None):
     """Multi-restart search; returns the best restart by loss (ties by KL)."""
     cfg = config or OptimizerConfig()
-    stack = _as_stack(ops)
+    action = _stacked_action(ops)
     m = 2 ** n
     t0 = time.perf_counter()
     seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    jobs = [(r, seqs[r], m, K, stack, spec, cfg) for r in range(cfg.restarts)]
-
-    nthreads = _thread_count(cfg)
     outcomes = []
-    if nthreads == 1:
-        for job in jobs:
-            outcomes.append(_run_restart(job))
-            if cfg.stop_on_loss is not None and outcomes[-1]["loss"] <= cfg.stop_on_loss:
-                break
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            futures = [pool.submit(_run_restart, job) for job in jobs]
-            for fut in futures:
-                outcomes.append(fut.result())
-                if cfg.stop_on_loss is not None and outcomes[-1]["loss"] <= cfg.stop_on_loss:
-                    for other in futures:
-                        other.cancel()
-                    break
+    for r, seq in enumerate(seqs):
+        outcomes.append(_run_restart(r, seq, m, K, action, spec, cfg))
+        if cfg.stop_on_loss is not None and outcomes[-1]["loss"] <= cfg.stop_on_loss:
+            break
 
     best = min(outcomes, key=lambda o: (o["loss"], o["kl"]))
     for o in outcomes:
@@ -485,15 +353,15 @@ def jnr_feasibility(operators, K, config=None, residual_tol=1e-9, dedup_tol=1e-6
     the deduplicated value tuples found with residual at most ``residual_tol``.
     """
     cfg = config or OptimizerConfig(restarts=200)
-    stack = _as_stack(operators)
+    action = _stacked_action(operators)
     spec = LossSpec(kind="kl_only", mu=1.0)
-    m = stack.dim
+    m = action.shape[1]
     if not 1 <= K <= m:
         raise ValueError(f"need 1 <= K <= {m}, got {K}")
     seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     points = []
-    for r in range(cfg.restarts):
-        out = _run_restart((r, seqs[r], m, K, stack, spec, cfg))
+    for r, seq in enumerate(seqs):
+        out = _run_restart(r, seq, m, K, action, spec, cfg)
         if out["kl"] <= residual_tol:
             vals = out["components"]
             for p in points:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.sparse
 
 PAULI_LETTERS = "IXYZ"
 
@@ -186,16 +187,30 @@ class ErrorBasis:
 
     @cached_property
     def action(self):
-        """Stacked output-indexed action: (O_a v)[y] = amps[a, y] * v[perms[a, y]]."""
-        perms = np.empty((len(self.ops), 2 ** self.n), dtype=np.intp)
-        amps = np.empty((len(self.ops), 2 ** self.n), dtype=complex)
+        """All words stacked as one CSR matrix of shape (n_ops * 2^n, 2^n).
+
+        Row a * 2^n + y holds row y of word a's matrix, so ``action @ v``
+        reshaped to (n_ops, 2^n, ...) gives O_a v for every word.  Each row has
+        one entry: (O_a v)[y] = amp[perm[y]] v[perm[y]] for (perm, amp) =
+        pauli_action(O_a).
+        """
+        dim = 2 ** self.n
+        rows = len(self.ops) * dim
+        # index arrays in the dtype scipy keeps, so construction copies nothing
+        index = np.int32 if rows < 2 ** 31 else np.int64
+        perms = np.empty((len(self.ops), dim), dtype=index)
+        amps = np.empty((len(self.ops), dim), dtype=complex)
         for k, op in enumerate(self.ops):
             perm, amp = pauli_action(op)
             perms[k] = perm
             amps[k] = amp[perm]
-        perms.setflags(write=False)
-        amps.setflags(write=False)
-        return perms, amps
+        action = scipy.sparse.csr_matrix(
+            (amps.ravel(), perms.ravel(), np.arange(rows + 1, dtype=index)),
+            shape=(rows, dim),
+        )
+        for arr in (action.data, action.indices, action.indptr):
+            arr.setflags(write=False)
+        return action
 
 
 def expected_error_basis_size(n, d):

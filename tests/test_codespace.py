@@ -101,6 +101,18 @@ def test_kl_tensor_slices_hermitian():
     assert np.abs(t.values - t.values.conj().transpose(0, 2, 1)).max() <= 1e-12
 
 
+def test_kl_tensor_matches_dense_reference():
+    rng = np.random.default_rng(2718)
+    for n in range(2, 5):
+        basis = enumerate_error_basis(n, 3)
+        for K in range(1, 4):
+            vecs = rng.standard_normal((K, 2 ** n)) + 1j * rng.standard_normal((K, 2 ** n))
+            code = new_code(n, vecs)
+            B = code.basis
+            reference = np.stack([B.conj().T @ dense_matrix(op) @ B for op in basis])
+            assert np.abs(kl_tensor(code, basis).values - reference).max() <= 1e-12
+
+
 def test_kl_violation_stabilizer_codes_at_round_off():
     assert kl_violation(codespace_from_stabilizer(builtin("steane")),
                         enumerate_error_basis(7, 3)) <= 1e-20

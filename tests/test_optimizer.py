@@ -105,6 +105,20 @@ def test_gradient_matches_finite_differences():
         assert abs(analytic - fd) <= 1e-6 * max(abs(fd), 1e-9 / 1e-6)
 
 
+def test_loss_and_gradient_pauli_basis_match_dense_operators():
+    basis = enumerate_error_basis(3, 3)
+    mats = [dense_matrix(op) for op in basis]
+    specs = [
+        LossSpec("kl_only", mu=1.0),
+        LossSpec("minimize_length", mu=1000.0),
+        LossSpec("target_length", mu=1000.0, target_length=0.8),
+    ]
+    for spec in specs:
+        theta = random_theta(8, 2)
+        assert abs(loss(theta, basis, spec) - loss(theta, mats, spec)) <= 1e-12
+        assert np.abs(gradient(theta, basis, spec) - gradient(theta, mats, spec)).max() <= 1e-12
+
+
 def test_gradient_orthogonal_to_scale_directions():
     basis = enumerate_error_basis(3, 3)
     theta = random_theta(8, 2)
@@ -144,29 +158,6 @@ def test_optimize_deterministic_given_seed():
     b = optimize(2, 1, basis, spec, OptimizerConfig(seed=11, restarts=3))
     assert np.abs(a.code.basis - b.code.basis).max() == 0
     assert a.final_loss == b.final_loss
-
-
-def test_optimize_thread_count_stability():
-    basis = enumerate_error_basis(2, 2)
-    spec = LossSpec("target_length", mu=1000.0, target_length=1.0)
-    serial = optimize(2, 1, basis, spec, OptimizerConfig(seed=7, restarts=4, threads=1))
-    pooled = optimize(2, 1, basis, spec, OptimizerConfig(seed=7, restarts=4, threads=3))
-    lams_a = sorted(s.lambda_sq for s in serial.restart_summaries)
-    lams_b = sorted(s.lambda_sq for s in pooled.restart_summaries)
-    assert np.abs(np.array(lams_a) - np.array(lams_b)).max() <= 1e-6
-
-
-def test_momentum_method_monotone_history():
-    basis = enumerate_error_basis(2, 2)
-    spec = LossSpec("target_length", mu=1000.0, target_length=1.0)
-    cfg = OptimizerConfig(seed=2, restarts=1, method="momentum", max_iters=300,
-                          record_history=True)
-    res = optimize(2, 1, basis, spec, cfg)
-    assert res.history
-    for phase in set(h[0] for h in res.history):
-        losses = [h[2] for h in res.history if h[0] == phase]
-        if len(losses) > 1:
-            assert np.diff(losses).max() <= 1e-15
 
 
 def test_lbfgs_history_best_so_far_monotone():
@@ -224,6 +215,13 @@ def test_jnr_full_rank_trace_average():
     # a non-scalar operator leaves no feasible tuple at full rank
     ops = [dense_matrix(pauli_from_string("ZI"))]
     assert jnr_feasibility(ops, 4, OptimizerConfig(seed=2, restarts=3)) == []
+
+
+def test_config_rejects_empty_budgets():
+    with pytest.raises(ValueError, match="restarts"):
+        OptimizerConfig(restarts=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        OptimizerConfig(max_iters=0)
 
 
 def test_jnr_validates_input():

@@ -123,6 +123,15 @@ def test_action_matches_dense():
         assert np.abs(dense - dense_matrix(w)).max() == 0
         v = np_rng.standard_normal(2 ** n) + 1j * np_rng.standard_normal(2 ** n)
         assert np.abs(apply_pauli(w, v) - dense_matrix(w) @ v).max() <= 1e-14
+    # the stacked action of a full error basis: block a is word a's matrix
+    for n in range(1, 5):
+        basis = enumerate_error_basis(n, n + 1)
+        dim = 2 ** n
+        action = basis.action
+        assert action.shape == (len(basis) * dim, dim)
+        for a, op in enumerate(basis):
+            block = action[a * dim:(a + 1) * dim].toarray()
+            assert np.abs(block - dense_matrix(op)).max() == 0
 
 
 def brute_force_basis(n, d):
