@@ -8,6 +8,7 @@ purities, and local-unitary images.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +43,7 @@ class CodeSubspace:
         if b.shape != (2 ** self.n, self.K):
             raise ValueError(f"basis shape {b.shape} != (2^{self.n}, {self.K})")
         deviation = float(np.abs(b.conj().T @ b - np.eye(self.K)).max())
-        if deviation > ISOMETRY_TOL:
+        if not deviation <= ISOMETRY_TOL:  # also rejects NaN
             raise ValueError(
                 f"basis columns are not orthonormal: max|B^dag B - I| = {deviation:.3e}"
             )
@@ -54,35 +55,31 @@ class CodeSubspace:
         return self.basis @ self.basis.conj().T
 
 
-def orthonormalize(vectors, tol=1e-9):
-    """Modified Gram-Schmidt with one reorthogonalization pass.
+def orthonormalize(mat, tol=1e-9):
+    """Orthonormalize the columns of ``mat`` by one QR; returns (q, rank).
 
-    Already-orthonormal inputs pass through unchanged up to round-off.
-    Raises on rank deficiency.
+    Column phases are fixed so that diag(R) > 0, the unique Gram-Schmidt result,
+    so orthonormal input passes through up to round-off.  ``rank`` counts the
+    leading columns with |R_kk| > tol * max(column norm, 1).
     """
-    cols = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-    dim = cols[0].size
-    out = []
-    for k, v in enumerate(cols):
-        if v.size != dim:
-            raise ValueError("inconsistent vector dimensions")
-        scale = np.linalg.norm(v)
-        for _ in range(2):
-            for u in out:
-                v = v - u * (u.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm <= tol * max(scale, 1.0):
-            raise ValueError(f"rank-deficient input: vector {k + 1} is dependent")
-        out.append(v / norm)
-    return np.stack(out, axis=1)
+    mat = np.asarray(mat, dtype=complex)
+    q, r = np.linalg.qr(mat)
+    diag = np.diagonal(r)
+    size = np.abs(diag)
+    q = q * np.divide(diag, size, out=np.ones_like(diag), where=size > 0)
+    independent = size > tol * np.maximum(np.linalg.norm(mat[:, : diag.size], axis=0), 1.0)
+    return q, int(np.cumprod(independent).sum())
 
 
 def new_code(n, vectors):
     """Build a CodeSubspace from linearly independent amplitude vectors."""
-    mat = orthonormalize(vectors)
+    mat = np.stack([np.asarray(v, dtype=complex).ravel() for v in vectors], axis=1)
     if mat.shape[0] != 2 ** n:
         raise ValueError(f"vectors have dimension {mat.shape[0]}, expected 2^{n}")
-    return CodeSubspace(n=n, K=mat.shape[1], basis=mat)
+    q, rank = orthonormalize(mat)
+    if rank < mat.shape[1]:
+        raise ValueError(f"rank-deficient input: vector {rank + 1} is dependent")
+    return CodeSubspace(n=n, K=rank, basis=q)
 
 
 @dataclass(frozen=True)
@@ -191,13 +188,14 @@ def apply_local_unitary(code, factors):
     """Transform a code by a tensor product of single-qubit unitaries."""
     if len(factors) != code.n:
         raise ValueError(f"need {code.n} factors, got {len(factors)}")
-    full = np.array([[1.0 + 0j]])
+    # qubit k + 1 is axis k of the (2,)*n + (K,) reshape; each factor acts on its axis
+    psi = code.basis.reshape((2,) * code.n + (code.K,))
     for k, u in enumerate(factors):
         u = np.asarray(u, dtype=complex)
         if u.shape != (2, 2) or np.abs(u.conj().T @ u - np.eye(2)).max() > 1e-12:
             raise ValueError(f"factor {k + 1} is not a 2x2 unitary")
-        full = np.kron(full, u)
-    return CodeSubspace(n=code.n, K=code.K, basis=full @ code.basis)
+        psi = np.moveaxis(np.tensordot(u, psi, axes=(1, k)), 0, k)
+    return CodeSubspace(n=code.n, K=code.K, basis=psi.reshape(2 ** code.n, code.K))
 
 
 def code_to_json(code):
@@ -212,14 +210,21 @@ def code_to_json(code):
 
 
 def code_from_json(text):
+    """Parse code JSON; malformed or non-isometric input raises ValueError."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"code JSON must be an object, got {type(data).__name__}")
     if data.get("format") != CODE_JSON_FORMAT:
         raise ValueError(f"unsupported code format: {data.get('format')!r}")
-    cols = [np.array([re + 1j * im for re, im in col]) for col in data["amplitudes"]]
-    basis = np.stack(cols, axis=1)
-    if basis.shape != (2 ** data["n"], data["K"]):
+    try:
+        n, K = operator.index(data["n"]), operator.index(data["K"])
+        cols = [[complex(re, im) for re, im in col] for col in data["amplitudes"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed code JSON: {exc!r}") from None
+    basis = np.array(cols).T
+    if basis.shape != (2 ** n, K):
         raise ValueError("amplitude block shape does not match n, K")
-    return CodeSubspace(n=data["n"], K=data["K"], basis=basis)
+    return CodeSubspace(n=n, K=K, basis=basis)
 
 
 def signature_to_csv(sig):

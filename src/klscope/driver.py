@@ -23,6 +23,7 @@ from .codespace import (
     code_to_json,
     kl_violation,
     lambda_star,
+    orthonormalize,
     signature_to_csv,
     signature_vector,
 )
@@ -156,9 +157,13 @@ def construct_code(kind, **kwargs):
         code = families.code_623(frame)
         return code, {"family": "623", "e": frame.e.tolist()}
     if kind == "family723":
+        if kwargs.get("lambda_star") is None:
+            raise ValueError("family723 needs --lambda-star")
         lam = float(kwargs["lambda_star"])
         branch = kwargs.get("branch") or "--"
         signs = {"+": 1, "-": -1}
+        if len(branch) != 2 or not set(branch) <= set(signs):
+            raise ValueError(f"--branch must be two signs from + and -, got {branch!r}")
         coeffs = families.cyclic_coeffs_from_lambda(
             lam, branch_c1=signs[branch[0]], branch_c3=signs[branch[1]]
         )
@@ -173,8 +178,7 @@ def construct_code(kind, **kwargs):
         return families.perm_code_723(variant), {"family": "723-perm", "variant": variant}
     if kind == "stabilizer":
         name = kwargs.get("name")
-        rows = kwargs.get("rows")
-        stab = builtin(name) if name else parse_generators(rows)
+        stab = builtin(name) if name else parse_generators(kwargs.get("rows") or [])
         return codespace_from_stabilizer(stab), {
             "family": "stabilizer",
             "generators": [str(g) for g in stab.generators],
@@ -212,8 +216,7 @@ def verify_code(code, d=3, tol=1e-10, lu_samples=3, seed=0):
 
 def _haar_unitary(rng):
     z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return orthonormalize(z)[0]
 
 
 # ---------------------------------------------------------------------------

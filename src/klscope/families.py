@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codespace import CodeSubspace, SignatureVector, kl_violation, new_code
+from .codespace import CodeSubspace, SignatureVector, apply_local_unitary, kl_violation, new_code
 from .pauli import dense_matrix, enumerate_error_basis, pauli_from_string
 
 SQRT7 = math.sqrt(7.0)
@@ -288,14 +288,12 @@ def so4_check(frame, generator, theta):
 
     base = code_623(frame)
     if unitary in ("X1", "Y1", "Z1"):
-        u = np.kron(_rot2(unitary[0], theta), np.eye(32, dtype=complex))
-        rhs_basis = u @ base.basis
+        rhs = apply_local_unitary(base, [_rot2(unitary[0], theta)] + [np.eye(2)] * 5)
     else:
-        rhs_basis = base.basis @ _rot2(unitary[0], theta)
-    rhs = CodeSubspace(n=6, K=2, basis=rhs_basis)
+        rhs = CodeSubspace(n=6, K=2, basis=base.basis @ _rot2(unitary[0], theta))
 
     proj_dev = float(np.abs(lhs.projector - rhs.projector).max())
-    state_dev = float(np.abs(lhs.basis - rhs_basis).max())
+    state_dev = float(np.abs(lhs.basis - rhs.basis).max())
     return So4Report(
         generator=generator,
         theta=float(theta),

@@ -249,16 +249,6 @@ def enumerate_error_basis(n, d):
     return basis
 
 
-def parity_signs(n):
-    """(-1)^popcount(i) for i in [0, 2^n), as an int8 array."""
-    bits = np.arange(2 ** n, dtype=np.uint32)
-    par = np.zeros(2 ** n, dtype=np.int8)
-    while bits.any():
-        par ^= (bits & 1).astype(np.int8)
-        bits >>= 1
-    return 1 - 2 * par
-
-
 def pauli_action(p):
     """Signed-permutation form of a Pauli word: O|x> = amp[x] |perm[x]>.
 
@@ -268,7 +258,9 @@ def pauli_action(p):
     p = _as_phased(p).word
     xs = np.arange(2 ** p.n, dtype=np.intp)
     perm = xs ^ p.x_mask
-    amp = PHASES[p.y_count % 4] * parity_signs(p.n)[xs & p.z_mask].astype(complex)
+    # bitwise_count is uint8: take the sign with where, not 1 - 2 * parity
+    odd = np.bitwise_count(xs & p.z_mask) & 1
+    amp = PHASES[p.y_count % 4] * np.where(odd, -1.0, 1.0)
     return perm, amp
 
 

@@ -1,16 +1,16 @@
 """Stabilizer codes: generator parsing, codeword extraction, built-in codes.
 
 The code space of a stabilizer group is the joint +1 eigenspace of its
-generators.  It is the range of the dense projector prod_g (I + g)/2, read
-off from one column-pivoted QR factorization of that projector.
+generators, the range of prod_g (I + g)/2.  It is read off from projected K+1
+vectors (seeded random ones pushed through that product, orthonormalized), so
+no 2^n x 2^n matrix is formed; their rank, capped at K+1, is its dimension.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .codespace import CodeSubspace
+from .codespace import CodeSubspace, orthonormalize
 from .pauli import apply_pauli, commutes, phased_pauli_from_string
 
 # generator tables for the named built-in codes
@@ -31,6 +31,9 @@ BUILTIN_GENERATORS = {
         "Z Z Z I Z I",
     ),
 }
+
+# any seed spans the same space; a fixed one gives the same basis on every call
+_PROJECTION_SEED = 9705052
 
 
 @dataclass(frozen=True)
@@ -86,28 +89,31 @@ def parse_generators(rows):
     bits = [(g.word.x_mask << n) | g.word.z_mask for g in gens]
     if _gf2_rank(bits) < len(gens):
         raise ValueError("generators are dependent over GF(2)")
-    if len(gens) > n:
-        raise ValueError(f"more generators ({len(gens)}) than qubits ({n})")
     return StabilizerCode(n=n, generators=tuple(gens))
+
+
+def _project(code, block):
+    """prod_g (I + g)/2 applied to the columns of ``block``."""
+    for g in code.generators:
+        block = (block + g.phase.real * apply_pauli(g.word, block)) / 2
+    return block
 
 
 def stabilizer_projector(code):
     """Dense product of (I + g)/2 over the generators."""
-    dim = 2 ** code.n
-    proj = np.eye(dim, dtype=complex)
-    for g in code.generators:
-        proj = (proj + g.phase.real * apply_pauli(g.word, proj)) / 2
-    return proj
+    return _project(code, np.eye(2 ** code.n, dtype=complex))
 
 
 def codespace_from_stabilizer(code):
     """Orthonormal basis of the joint +1 eigenspace of the generators.
 
-    The first K columns of Q in the pivoted QR of the projector span its
-    range; the rank is the number of |diag R| above 1e-8.
+    K + 1 seeded Gaussian vectors are projected onto the eigenspace and
+    orthonormalized; their rank is its dimension up to K + 1, so the extra
+    vector is what detects a dimension above K.
     """
-    q, r, _ = scipy.linalg.qr(stabilizer_projector(code), mode="economic", pivoting=True)
-    rank = int(np.sum(np.abs(np.diag(r)) > 1e-8))
+    # int(): K is a fraction for a hand-built group with more generators than qubits
+    block = np.random.default_rng(_PROJECTION_SEED).standard_normal((2 ** code.n, int(code.K) + 1))
+    q, rank = orthonormalize(_project(code, block))
     if rank == 0:
         raise ValueError("empty joint eigenspace of the generators")
     if rank != code.K:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from klscope.codespace import (
+    CodeSubspace,
     NotACodeError,
     apply_local_unitary,
     code_from_json,
@@ -226,6 +227,24 @@ def test_apply_local_unitary_identity():
     code = random_code(3, 2)
     same = apply_local_unitary(code, [np.eye(2)] * 3)
     assert np.abs(same.basis - code.basis).max() == 0
+
+
+def test_apply_local_unitary_matches_kron_reference():
+    rng = np.random.default_rng(1229)  # own stream: later tests keep their draws
+
+    def unitary_columns(rows, cols):
+        z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        return np.linalg.qr(z)[0]
+
+    for n in range(1, 7):
+        for K in range(1, min(3, 2 ** n) + 1):
+            code = CodeSubspace(n=n, K=K, basis=unitary_columns(2 ** n, K))
+            factors = [unitary_columns(2, 2) for _ in range(n)]
+            full = np.array([[1.0 + 0j]])
+            for u in factors:
+                full = np.kron(full, u)
+            moved = apply_local_unitary(code, factors)
+            assert np.abs(moved.basis - full @ code.basis).max() <= 1e-12, (n, K)
 
 
 def test_apply_local_unitary_validates():

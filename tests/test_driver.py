@@ -1,8 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import klscope
 
 from klscope.codespace import (
     code_from_json,
@@ -146,6 +151,32 @@ def test_non_isometric_code_json_rejected(tmp_path):
     assert main(["verify", str(path)]) == 2
 
 
+def _steane_payload():
+    return json.loads(code_to_json(construct_code("stabilizer", name="steane")[0]))
+
+
+@pytest.mark.parametrize("malformed", [
+    {key: value for key, value in _steane_payload().items() if key != "amplitudes"},
+    {key: value for key, value in _steane_payload().items() if key != "n"},
+    {key: value for key, value in _steane_payload().items() if key != "K"},
+    {**_steane_payload(), "amplitudes": [[["x", 0.0]] * 128] * 2},
+    {**_steane_payload(), "amplitudes": [[None] * 128] * 2},
+    {**_steane_payload(), "n": "7"},
+    {**_steane_payload(), "n": 7.0},
+    {**_steane_payload(), "amplitudes": [[[float("nan"), 0.0]] * 128] * 2},
+    [_steane_payload()],
+], ids=["no-amplitudes", "no-n", "no-K", "string-amplitude", "null-amplitude",
+        "string-n", "float-n", "nan-amplitude", "top-level-list"])
+def test_malformed_code_json_rejected(tmp_path, malformed):
+    text = json.dumps(malformed)
+    with pytest.raises(ValueError):
+        code_from_json(text)
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    for command in ("verify", "signature", "enumerate"):
+        assert main([command, str(path)]) == 2, command
+
+
 def test_cli_construct_family_roundtrip(tmp_path):
     code_path = tmp_path / "cyc.json"
     rc = main(["construct", "family723", "--lambda-star", "1.0",
@@ -252,8 +283,37 @@ def test_cli_rejects_bad_numeric_input(tmp_path):
         ["jnr", "--operators", str(ops), "--K", "1", "--restarts", "0"],
         sweep_args + ["--step", "0"],
         sweep_args + ["--step", "-0.1"],
+        ["optimize", "--n", "2", "--K", "0", "--d", "2", "--restarts", "1"],
+        ["sweep", "--n", "2", "--K", "0", "--d", "2", "--grid", "0.5", "--restarts", "1"],
     ):
         assert main(argv) == 2, argv
+
+
+@pytest.mark.parametrize("command", [
+    ["optimize"],
+    ["sweep", "--grid", "0.5"],
+])
+def test_cli_rejects_code_dimension_above_hilbert_space(command):
+    # K = 9 > 2^2 used to redraw rank-deficient starts forever, so the CLI runs
+    # in a child process that a timeout can end
+    src = Path(klscope.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "klscope", *command,
+            "--n", "2", "--K", "9", "--d", "2", "--restarts", "1"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "1 <= K <= 4" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "family723"],
+    ["construct", "family723", "--lambda-star", "1.0", "--branch", "x-"],
+    ["construct", "family723", "--lambda-star", "1.0", "--branch", "+"],
+    ["construct", "family723", "--lambda-star", "1.0", "--branch", "+-+"],
+    ["construct", "stabilizer"],
+], ids=["no-lambda-star", "bad-sign", "one-sign", "three-signs", "no-generators"])
+def test_cli_construct_rejects_bad_input(argv):
+    assert main(argv) == 2
 
 
 def test_cli_jnr(tmp_path):

@@ -82,6 +82,7 @@ def test_projector_identity():
         assert code.K == stab.K
         assert np.abs(code.basis.conj().T @ code.basis - np.eye(code.K)).max() <= 1e-12
         assert np.abs(code.projector - stabilizer_projector(stab)).max() <= 1e-12
+        assert np.array_equal(code.basis, codespace_from_stabilizer(stab).basis)  # seeded
 
 
 def test_stabilizer_signature_integrality():
@@ -108,3 +109,8 @@ def test_empty_eigenspace_guard():
         PhasedPauli(0, PauliString("Z")), PhasedPauli(2, PauliString("Z"))))
     with pytest.raises(ValueError, match="empty"):
         codespace_from_stabilizer(bad)
+    # a repeated generator leaves a 2-dimensional eigenspace where K = 1 is expected
+    repeated = StabilizerCode(n=2, generators=(
+        PhasedPauli(0, PauliString("ZI")), PhasedPauli(0, PauliString("ZI"))))
+    with pytest.raises(ValueError, match="dimension 2 != expected K=1"):
+        codespace_from_stabilizer(repeated)
