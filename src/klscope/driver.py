@@ -68,14 +68,14 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_point(n, K, basis, target_sq, mu, config):
+def _sweep_point(n, K, basis, target_sq, mu, config, start):
     t0 = time.perf_counter()
     spec = LossSpec(kind="target_length", mu=mu, target_length=math.sqrt(max(target_sq, 0.0)))
-    result = optimize(n, K, basis, spec, config)
+    result = optimize(n, K, basis, spec, config, start=start)
     achieved_sq = result.lambda_star ** 2
     final_loss = (achieved_sq - target_sq) ** 2 + result.kl_violation
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
-    return SweepRow(
+    row = SweepRow(
         target_lambda_sq=float(target_sq),
         final_loss=final_loss,
         kl_violation=result.kl_violation,
@@ -83,13 +83,20 @@ def _sweep_point(n, K, basis, target_sq, mu, config):
         restarts_used=result.restarts_used,
         wall_ms=wall_ms,
     )
+    return row, result
 
 
 def sweep(n, K, d, grid, mu=1000.0, config=None, done=None, on_row=None):
     """Scan target lambda*^2 values; returns rows sorted by target.
 
-    ``done`` supplies already-completed rows (for resume); ``on_row`` is
-    called after each newly computed point, in grid order.
+    Points are computed in grid order.  Each one warm-starts from the code of
+    the converged point computed earlier in this call whose achieved lambda*^2
+    is nearest its target (lambda*^2 moves continuously along the code
+    families); that start takes the first of the ``config.restarts`` slots and
+    the random restarts follow.  ``done`` supplies already-completed rows (for
+    resume); they carry no code, so a resumed sweep starts cold until its
+    first newly converged point.  ``on_row`` is called after each newly
+    computed point, in grid order.
     """
     grid = list(grid)
     if not grid:
@@ -99,8 +106,14 @@ def sweep(n, K, d, grid, mu=1000.0, config=None, done=None, on_row=None):
     rows = list(done or [])
     have = {round(r.target_lambda_sq, 12) for r in rows}
     todo = [float(t) for t in grid if round(float(t), 12) not in have]
+    converged = []  # (achieved lambda*^2, code basis) of this call's converged points
     for target_sq in todo:
-        row = _sweep_point(n, K, basis, target_sq, mu, cfg)
+        start = None
+        if converged:
+            start = min(converged, key=lambda c: abs(c[0] - target_sq))[1]
+        row, result = _sweep_point(n, K, basis, target_sq, mu, cfg, start)
+        if result.converged:
+            converged.append((row.achieved_lambda_sq, result.code.basis))
         rows.append(row)
         if on_row is not None:
             on_row(row)
@@ -391,6 +404,8 @@ def _cmd_signature(args):
 def _cmd_jnr(args):
     with open(args.operators) as fh:
         words = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+    if not words:
+        raise ValueError(f"operator file {args.operators!r} lists no Pauli words")
     mats = [dense_matrix(pauli_from_string(w)) for w in words]
     restarts = args.restarts if args.restarts is not None else 200
     cfg = OptimizerConfig(seed=args.seed, restarts=restarts, max_iters=args.max_iters)

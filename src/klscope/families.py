@@ -107,6 +107,8 @@ def frame_with_e(e, rng):
     over one signature class.
     """
     e = np.asarray(e, dtype=float)
+    if e.shape != (5,):
+        raise ValueError(f"e must have 5 components, got shape {e.shape}")
     if abs(e @ e - 0.25) > FRAME_TOL:
         raise ValueError("e must have squared norm 1/4")
     complement = np.linalg.svd(e.reshape(1, 5))[2][1:]
@@ -265,10 +267,6 @@ class So4Report:
     unitary: str
     projector_deviation: float
     state_deviation: float
-
-    @property
-    def matched(self):
-        return self.projector_deviation <= 1e-10
 
 
 def so4_check(frame, generator, theta):

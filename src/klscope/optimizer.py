@@ -27,6 +27,9 @@ from .pauli import ErrorBasis
 
 LOSS_KINDS = ("kl_only", "minimize_length", "maximize_length", "target_length", "target_vector")
 
+# relative size of the perturbation a warm start descends from
+WARM_START_NOISE = 1e-3
+
 
 class ConditioningError(ValueError):
     """theta is too close to singular for the polar map."""
@@ -181,7 +184,7 @@ def _evaluate(theta, action, spec, mu, want_grad):
     M *= mu_eff
     M[:, idx, idx] = 2 * mu_eff * spread + 2 * g[:, None]
 
-    g_psi = np.matmul(ops_psi, M).sum(axis=0)
+    g_psi = np.einsum("adk,akl->dl", ops_psi, M, optimize=True)
     T = theta.conj().T @ g_psi
     denom = -(s[:, None] * s[None, :]) * (s[:, None] + s[None, :])
     T_tilde = U.conj().T @ T @ U
@@ -248,17 +251,28 @@ def _descend_lbfgs(theta, action, spec, mu, cfg, history=None, phase=0):
     return theta, f, aux, int(res.nit)
 
 
-def _run_restart(seed_index, seq, m, K, action, spec, cfg):
+def _gaussian(rng, m, K):
+    return (rng.standard_normal((m, K)) + 1j * rng.standard_normal((m, K))) / np.sqrt(2)
+
+
+def _run_restart(seed_index, seq, m, K, action, spec, cfg, start=None):
+    """One restart from a random start, or from ``start`` nudged by
+    WARM_START_NOISE (relative, Frobenius) drawn from the same seed."""
     if not 1 <= K <= m:  # else every start is rank-deficient and the redraw never ends
         raise ValueError(f"need 1 <= K <= {m}, got {K}")
     rng = np.random.default_rng(seq)
-    while True:
-        theta = (rng.standard_normal((m, K)) + 1j * rng.standard_normal((m, K))) / np.sqrt(2)
-        try:
-            _polar(theta)
-            break
-        except ConditioningError:
-            continue  # measure-zero event: re-draw the start
+    if start is not None:
+        noise = _gaussian(rng, m, K)
+        theta = start + WARM_START_NOISE * np.linalg.norm(start) / np.linalg.norm(noise) * noise
+        _polar(theta)  # a rank-deficient start raises ConditioningError
+    else:
+        while True:
+            theta = _gaussian(rng, m, K)
+            try:
+                _polar(theta)
+                break
+            except ConditioningError:
+                continue  # measure-zero event: re-draw the start
     history = [] if cfg.record_history else None
     total_iters = 0
     final_gnorm = np.inf
@@ -282,16 +296,31 @@ def _run_restart(seed_index, seq, m, K, action, spec, cfg):
     }
 
 
-def optimize(n, K, ops, spec, config=None):
-    """Multi-restart search; returns the best restart by loss (ties by KL)."""
+def optimize(n, K, ops, spec, config=None, *, start=None):
+    """Multi-restart search; returns the best restart by loss (ties by KL).
+
+    ``start`` (a 2^n x K matrix, e.g. the basis of a nearby code) takes the
+    first restart slot: that restart descends from ``start`` plus a seeded
+    relative perturbation of WARM_START_NOISE.  The perturbation matters:
+    extremal codes (lambda*^2 = 0.6 and 1 for ((6,2,3))) are stationary
+    points of the length, and a descent started exactly on one stays there.
+    The other restarts are the random ones of the same seed, so the budget
+    stays ``config.restarts``.
+    """
     cfg = config or OptimizerConfig()
     action = _stacked_action(ops)
     m = 2 ** n
+    if start is not None:
+        start = np.asarray(start, dtype=complex)
+        if start.shape != (m, K):
+            raise ValueError(f"start has shape {start.shape}, expected {(m, K)}")
     t0 = time.perf_counter()
     seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     outcomes = []
     for r, seq in enumerate(seqs):
-        outcomes.append(_run_restart(r, seq, m, K, action, spec, cfg))
+        outcomes.append(
+            _run_restart(r, seq, m, K, action, spec, cfg, start=start if r == 0 else None)
+        )
         if cfg.stop_on_loss is not None and outcomes[-1]["loss"] <= cfg.stop_on_loss:
             break
 

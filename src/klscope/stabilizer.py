@@ -30,6 +30,16 @@ BUILTIN_GENERATORS = {
         "I I I Z I Z",
         "Z Z Z I Z I",
     ),
+    # five-qubit perfect code, cyclic shifts of XZZXI
+    # (Laflamme, Miquel, Paz & Zurek, PRL 77, 198 (1996))
+    "code513": ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"),
+    # D. Gottesman, PRA 54, 1862 (1996), K = 8
+    "gottesman833": ("XXXXXXXX", "ZZZZZZZZ", "IXIXYZYZ", "IXZYIXZY", "IYXZXZIY"),
+    # P. W. Shor, PRA 52, R2493 (1995)
+    "shor913": (
+        "ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ",
+        "XXXXXXIII", "IIIXXXXXX",
+    ),
 }
 
 # any seed spans the same space; a fixed one gives the same basis on every call
@@ -122,7 +132,8 @@ def codespace_from_stabilizer(code):
 
 
 def builtin(name):
-    """Named stabilizer codes: ``steane`` ((7,2,3)) and ``shaw623`` ((6,2,3))."""
+    """Named stabilizer codes: ``steane`` ((7,2,3)), ``shaw623`` ((6,2,3)),
+    ``code513`` [[5,1,3]], ``gottesman833`` [[8,3,3]] and ``shor913`` [[9,1,3]]."""
     try:
         rows = BUILTIN_GENERATORS[name]
     except KeyError:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -27,8 +28,7 @@ from klscope.driver import (
 )
 from klscope.optimizer import OptimizerConfig
 from klscope.pauli import enumerate_error_basis
-
-from literature_codes import SHOR_913
+from klscope.stabilizer import BUILTIN_GENERATORS
 
 
 def fast_config(**kw):
@@ -59,6 +59,32 @@ def test_sweep_csv_round_trip_and_resume():
                     done=rows, on_row=seen.append)
     assert [r.target_lambda_sq for r in seen] == [0.7]
     assert [r.target_lambda_sq for r in resumed.rows] == [0.3, 0.7, 1.1]
+
+
+def _without_wall_ms(rows):
+    return [dataclasses.replace(r, wall_ms=0) for r in rows]
+
+
+def test_sweep_warm_starts_from_converged_neighbour():
+    cfg = OptimizerConfig(seed=1606, restarts=12, stop_on_loss=1e-12)
+    first = sweep(6, 2, 3, [0.70, 0.72], config=cfg)
+    assert all(r.final_loss <= 1e-8 for r in first.rows)
+    assert first.rows[1].restarts_used == 1  # started from the 0.70 code
+    again = sweep(6, 2, 3, [0.70, 0.72], config=cfg)
+    assert _without_wall_ms(again.rows) == _without_wall_ms(first.rows)
+
+
+def test_resumed_sweep_starts_cold():
+    cfg = fast_config()
+    done = sweep(2, 1, 2, [0.3, 1.1], config=cfg).rows
+    seen = []
+    resumed = sweep(2, 1, 2, [0.3, 0.7, 1.1, 1.5], config=cfg, done=done,
+                    on_row=seen.append)
+    assert [r.target_lambda_sq for r in seen] == [0.7, 1.5]
+    assert [r.target_lambda_sq for r in resumed.rows] == [0.3, 0.7, 1.1, 1.5]
+    # done rows carry no code, so the first new point is a cold search
+    cold = sweep(2, 1, 2, [0.7], config=cfg).rows
+    assert _without_wall_ms(seen[:1]) == _without_wall_ms(cold)
 
 
 def test_sweep_rows_sorted():
@@ -124,10 +150,14 @@ def test_cli_construct_verify_enumerate(tmp_path):
 
 def test_cli_shor_code_construct_verify_enumerate(tmp_path):
     gens = tmp_path / "shor.txt"
-    gens.write_text("\n".join(SHOR_913) + "\n")
+    gens.write_text("\n".join(BUILTIN_GENERATORS["shor913"]) + "\n")
     code_path = tmp_path / "shor.json"
     assert main(["construct", "stabilizer", "--generators", str(gens),
                  "--out", str(code_path)]) == 0
+    named_path = tmp_path / "shor_named.json"
+    assert main(["construct", "stabilizer", "--name", "shor913",
+                 "--out", str(named_path)]) == 0
+    assert named_path.read_text() == code_path.read_text()
     report_path = tmp_path / "report.json"
     assert main(["verify", str(code_path), "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
@@ -314,6 +344,15 @@ def test_cli_rejects_code_dimension_above_hilbert_space(command):
 ], ids=["no-lambda-star", "bad-sign", "one-sign", "three-signs", "no-generators"])
 def test_cli_construct_rejects_bad_input(argv):
     assert main(argv) == 2
+
+
+def test_cli_rejects_input_naming_it(tmp_path, capsys):
+    empty = tmp_path / "ops.txt"
+    empty.write_text("\n")
+    assert main(["jnr", "--operators", str(empty), "--K", "1"]) == 2
+    assert str(empty) in capsys.readouterr().err
+    assert main(["construct", "family623", "--e-vector", "0.5,0,0"]) == 2
+    assert "5 components" in capsys.readouterr().err
 
 
 def test_cli_jnr(tmp_path):

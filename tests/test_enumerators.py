@@ -21,9 +21,7 @@ from klscope.families import (
     single_param_frame_623,
 )
 from klscope.pauli import dense_matrix, enumerate_error_basis, pauli_from_string
-from klscope.stabilizer import builtin, codespace_from_stabilizer, parse_generators
-
-from literature_codes import SHOR_913
+from klscope.stabilizer import builtin, codespace_from_stabilizer
 
 np_rng = np.random.default_rng(2718)
 
@@ -138,7 +136,7 @@ def test_enumerator_guard():
 
 
 def test_shor_code_enumerator():
-    we = weight_enumerators(codespace_from_stabilizer(parse_generators(SHOR_913)))
+    we = weight_enumerators(codespace_from_stabilizer(builtin("shor913")))
     assert abs(lambda_star_sq_from_enumerator(we) - 9) <= 1e-10
     assert np.abs(we.B[:3] - we.A[:3]).max() <= 1e-10
     assert np.abs(we.A[:3] - [1, 0, 9]).max() <= 1e-10

@@ -174,6 +174,12 @@ def test_lambda_star_frame_independence():
     assert max(values) - min(values) <= 1e-9
 
 
+@pytest.mark.parametrize("e", [[0.5, 0, 0], np.full((5, 1), 0.5 / math.sqrt(5))])
+def test_frame_with_e_rejects_wrong_shape(e):
+    with pytest.raises(ValueError, match="5 components"):
+        frame_with_e(e, np.random.default_rng(0))
+
+
 def test_predicted_signature_structure():
     # e along the last axis: only Z-type pairs touching qubit 2 survive, each 1/2
     e = np.array([0, 0, 0, 0, 0.5])

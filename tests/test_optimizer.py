@@ -160,6 +160,39 @@ def test_optimize_deterministic_given_seed():
     assert a.final_loss == b.final_loss
 
 
+def test_warm_start_from_exact_code_hits_first():
+    steane = codespace_from_stabilizer(builtin("steane"))
+    basis = enumerate_error_basis(7, 3)
+    cfg = OptimizerConfig(seed=0, restarts=4, stop_on_loss=1e-12)
+    res = optimize(7, 2, basis, LossSpec("kl_only", mu=1.0), cfg, start=steane.basis)
+    assert res.restarts_used == 1
+    assert res.converged and res.kl_violation <= 1e-10
+
+
+def test_warm_start_keeps_the_random_restarts():
+    basis = enumerate_error_basis(2, 2)
+    spec = LossSpec("target_length", mu=1000.0, target_length=1.0)
+    cfg = OptimizerConfig(seed=11, restarts=3)
+    plain = optimize(2, 1, basis, spec, cfg)
+    cold = optimize(2, 1, basis, spec, cfg, start=None)
+    assert np.array_equal(plain.code.basis, cold.code.basis)
+    assert plain.restart_summaries == cold.restart_summaries
+    warm = optimize(2, 1, basis, spec, cfg, start=plain.code.basis)
+    assert warm.restarts_used == 3
+    # the start takes slot 0; slots 1.. are the cold call's restarts
+    assert warm.restart_summaries[1:] == plain.restart_summaries[1:]
+    assert warm.restart_summaries[0] != plain.restart_summaries[0]
+
+
+def test_warm_start_validates_shape():
+    basis = enumerate_error_basis(2, 2)
+    spec = LossSpec("kl_only", mu=1.0)
+    with pytest.raises(ValueError, match="shape"):
+        optimize(2, 1, basis, spec, OptimizerConfig(restarts=1), start=np.ones((4, 2)))
+    with pytest.raises(ConditioningError):
+        optimize(2, 2, basis, spec, OptimizerConfig(restarts=1), start=np.zeros((4, 2)))
+
+
 def test_lbfgs_history_best_so_far_monotone():
     basis = enumerate_error_basis(2, 2)
     spec = LossSpec("minimize_length", mu=1000.0)

@@ -4,13 +4,12 @@ import pytest
 from klscope.codespace import kl_violation, lambda_star, signature_vector
 from klscope.pauli import enumerate_error_basis
 from klscope.stabilizer import (
+    BUILTIN_GENERATORS,
     builtin,
     codespace_from_stabilizer,
     parse_generators,
     stabilizer_projector,
 )
-
-from literature_codes import CODE_513, GOTTESMAN_833, SHOR_913
 
 
 def test_builtin_tables():
@@ -18,6 +17,9 @@ def test_builtin_tables():
     assert steane.n == 7 and len(steane.generators) == 6 and steane.K == 2
     shaw = builtin("shaw623")
     assert shaw.n == 6 and len(shaw.generators) == 5 and shaw.K == 2
+    for name, n, K in (("code513", 5, 2), ("gottesman833", 8, 8), ("shor913", 9, 2)):
+        stab = builtin(name)
+        assert (stab.n, stab.K) == (n, K)
     assert shaw.generators[0].word.letters == "YIZXXY"
     with pytest.raises(ValueError, match="unknown"):
         builtin("unknown")
@@ -75,9 +77,7 @@ def test_steane_code_lambda():
 
 
 def test_projector_identity():
-    codes = [builtin("steane"), builtin("shaw623")]
-    codes += [parse_generators(rows) for rows in (CODE_513, GOTTESMAN_833, SHOR_913)]
-    for stab in codes:
+    for stab in map(builtin, BUILTIN_GENERATORS):
         code = codespace_from_stabilizer(stab)
         assert code.K == stab.K
         assert np.abs(code.basis.conj().T @ code.basis - np.eye(code.K)).max() <= 1e-12
