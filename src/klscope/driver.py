@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from .optimizer import LossSpec, OptimizerConfig, jnr_feasibility, optimize
 from .pauli import dense_matrix, enumerate_error_basis, pauli_from_string
 from .stabilizer import builtin, codespace_from_stabilizer, parse_generators
 
-SWEEP_CSV_HEADER = "target_lambda_sq,final_loss,kl_violation,achieved_lambda_sq,restarts_used,wall_ms"
-
 RESULT_JSON_FORMAT = "klscope.result/1"
 
 
@@ -51,11 +49,14 @@ class SweepRow:
     wall_ms: int
 
     def csv(self):
-        return (
-            f"{float(self.target_lambda_sq)!r},{float(self.final_loss)!r},"
-            f"{float(self.kl_violation)!r},{float(self.achieved_lambda_sq)!r},"
-            f"{self.restarts_used},{self.wall_ms}"
+        """The row in the column order of SWEEP_CSV_HEADER; floats round-trip."""
+        return ",".join(
+            repr(float(getattr(self, f.name))) if f.type is float else str(getattr(self, f.name))
+            for f in fields(self)
         )
+
+
+SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 @dataclass
@@ -66,24 +67,6 @@ class SweepResult:
         lines = [SWEEP_CSV_HEADER]
         lines.extend(row.csv() for row in self.rows)
         return "\n".join(lines) + "\n"
-
-
-def _sweep_point(n, K, basis, target_sq, mu, config, start):
-    t0 = time.perf_counter()
-    spec = LossSpec(kind="target_length", mu=mu, target_length=math.sqrt(max(target_sq, 0.0)))
-    result = optimize(n, K, basis, spec, config, start=start)
-    achieved_sq = result.lambda_star ** 2
-    final_loss = (achieved_sq - target_sq) ** 2 + result.kl_violation
-    wall_ms = int(round((time.perf_counter() - t0) * 1000))
-    row = SweepRow(
-        target_lambda_sq=float(target_sq),
-        final_loss=final_loss,
-        kl_violation=result.kl_violation,
-        achieved_lambda_sq=achieved_sq,
-        restarts_used=result.restarts_used,
-        wall_ms=wall_ms,
-    )
-    return row, result
 
 
 def sweep(n, K, d, grid, mu=1000.0, config=None, done=None, on_row=None):
@@ -98,20 +81,34 @@ def sweep(n, K, d, grid, mu=1000.0, config=None, done=None, on_row=None):
     first newly converged point.  ``on_row`` is called after each newly
     computed point, in grid order.
     """
-    grid = list(grid)
+    grid = [float(t) for t in grid]
     if not grid:
         raise ValueError("empty sweep grid")
+    for t in grid:
+        if not math.isfinite(t):
+            raise ValueError(f"sweep grid target must be finite, got {t}")
     cfg = config or OptimizerConfig(restarts=12, stop_on_loss=1e-12)
     basis = enumerate_error_basis(n, d)
     rows = list(done or [])
     have = {round(r.target_lambda_sq, 12) for r in rows}
-    todo = [float(t) for t in grid if round(float(t), 12) not in have]
+    todo = [t for t in grid if round(t, 12) not in have]
     converged = []  # (achieved lambda*^2, code basis) of this call's converged points
     for target_sq in todo:
         start = None
         if converged:
             start = min(converged, key=lambda c: abs(c[0] - target_sq))[1]
-        row, result = _sweep_point(n, K, basis, target_sq, mu, cfg, start)
+        t0 = time.perf_counter()
+        spec = LossSpec(kind="target_length", mu=mu, target_length=math.sqrt(max(target_sq, 0.0)))
+        result = optimize(n, K, basis, spec, cfg, start=start)
+        achieved_sq = result.lambda_star ** 2
+        row = SweepRow(
+            target_lambda_sq=target_sq,
+            final_loss=(achieved_sq - target_sq) ** 2 + result.kl_violation,
+            kl_violation=result.kl_violation,
+            achieved_lambda_sq=achieved_sq,
+            restarts_used=result.restarts_used,
+            wall_ms=int(round((time.perf_counter() - t0) * 1000)),
+        )
         if result.converged:
             converged.append((row.achieved_lambda_sq, result.code.basis))
         rows.append(row)
@@ -127,7 +124,8 @@ def read_sweep_csv(text):
     header = lines[0][1] if lines else ""
     if header != SWEEP_CSV_HEADER:
         raise ValueError(f"bad sweep CSV header: {header!r}")
-    n_fields = SWEEP_CSV_HEADER.count(",") + 1
+    columns = fields(SweepRow)
+    n_fields = len(columns)
     rows = []
     for lineno, ln in lines[1:]:
         parts = ln.split(",")
@@ -136,16 +134,7 @@ def read_sweep_csv(text):
                 f"sweep CSV line {lineno}: {len(parts)} fields, expected {n_fields}"
             )
         try:
-            rows.append(
-                SweepRow(
-                    target_lambda_sq=float(parts[0]),
-                    final_loss=float(parts[1]),
-                    kl_violation=float(parts[2]),
-                    achieved_lambda_sq=float(parts[3]),
-                    restarts_used=int(parts[4]),
-                    wall_ms=int(parts[5]),
-                )
-            )
+            rows.append(SweepRow(*(f.type(part) for f, part in zip(columns, parts))))
         except ValueError as exc:
             raise ValueError(f"sweep CSV line {lineno}: {exc}") from None
     return rows
@@ -254,6 +243,32 @@ def _config_from_args(args, default_restarts, stop_on_loss=None):
     )
 
 
+# the keys an optimize --config object may set, and the type of each value
+_CONFIG_TYPES = {
+    "n": int, "K": int, "d": int, "seed": int, "restarts": int, "max_iters": int,
+    "mode": str, "mu": float, "lambda_target": float, "kl_tol": float,
+}
+
+
+def _read_optimize_config(path):
+    """The fields of an optimize --config JSON object; a bad one raises
+    ValueError naming it."""
+    with open(path) as fh:
+        params = json.load(fh)
+    if not isinstance(params, dict):
+        raise ValueError(f"config {path!r} must hold a JSON object, got {type(params).__name__}")
+    for key, value in params.items():
+        kind = _CONFIG_TYPES.get(key)
+        if kind is None:
+            raise ValueError(f"config field {key!r} is unknown; known: {', '.join(_CONFIG_TYPES)}")
+        if value is None and key == "lambda_target":
+            continue
+        numeric = kind is float and isinstance(value, int)
+        if isinstance(value, bool) or not (isinstance(value, kind) or numeric):
+            raise ValueError(f"config field {key!r} must be {kind.__name__}, got {value!r}")
+    return params
+
+
 def _write(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -266,8 +281,11 @@ def _cmd_sweep(args):
     if args.grid:
         grid = [float(x) for x in args.grid.split(",")]
     else:
-        if args.step <= 0:
-            raise ValueError(f"--step must be positive, got {args.step}")
+        for flag, value in (("--from", getattr(args, "from")), ("--to", args.to)):
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value}")
+        if not 0 < args.step < math.inf:  # also rejects NaN
+            raise ValueError(f"--step must be positive and finite, got {args.step}")
         n_steps = int(round((args.to - getattr(args, "from")) / args.step))
         grid = [getattr(args, "from") + k * args.step for k in range(n_steps + 1)]
     done = []
@@ -283,7 +301,7 @@ def _cmd_sweep(args):
     def flush(rows):
         # write a sibling temp file, then rename over the target, so a crash
         # mid-write leaves the previous complete CSV in place
-        text = SWEEP_CSV_HEADER + "\n" + "".join(r.csv() + "\n" for r in rows)
+        text = SweepResult(rows).csv()
         if out_path not in (None, "-"):
             tmp_path = out_path + ".tmp"
             with open(tmp_path, "w") as fh:
@@ -305,26 +323,17 @@ def _cmd_sweep(args):
 
 
 def _cmd_optimize(args):
-    params = {}
     if args.config:
-        with open(args.config) as fh:
-            params = json.load(fh)
-    n = params.get("n", args.n)
-    K = params.get("K", args.K)
-    d = params.get("d", args.d)
-    mode = params.get("mode", args.mode)
-    mu = params.get("mu", args.mu)
-    lam = params.get("lambda_target", args.lambda_target)
-    cfg = OptimizerConfig(
-        seed=params.get("seed", args.seed),
-        restarts=params.get("restarts", args.restarts if args.restarts is not None else 50),
-        max_iters=params.get("max_iters", args.max_iters),
-        kl_tol=params.get("kl_tol", args.kl_tol),
-    )
+        for key, value in _read_optimize_config(args.config).items():
+            setattr(args, key, value)
+    n, K, d, mode, mu, lam = args.n, args.K, args.d, args.mode, args.mu, args.lambda_target
     if n is None or K is None:
-        raise SystemExit("optimize needs --n and --K (or a --config file)")
+        raise ValueError("optimize needs n and K (--n and --K, or a --config file)")
+    if lam is not None and not math.isfinite(lam):
+        raise ValueError(f"lambda_target must be finite, got {lam}")
     if mode == "target_length" and lam is None:
-        raise SystemExit("target_length mode needs --lambda-target")
+        raise ValueError("target_length mode needs lambda_target (--lambda-target)")
+    cfg = _config_from_args(args, default_restarts=50)
     spec = LossSpec(
         kind=mode,
         mu=mu,

@@ -63,7 +63,7 @@ class OrthoFrame:
             v.setflags(write=False)
             object.__setattr__(self, name, v)
         A = self.matrix
-        if np.abs(A @ A.T - np.eye(5) / 4).max() > FRAME_TOL:
+        if not np.abs(A @ A.T - np.eye(5) / 4).max() <= FRAME_TOL:  # also rejects NaN
             raise ValueError("frame columns do not satisfy A A^T = I/4")
 
     @property
@@ -109,8 +109,8 @@ def frame_with_e(e, rng):
     e = np.asarray(e, dtype=float)
     if e.shape != (5,):
         raise ValueError(f"e must have 5 components, got shape {e.shape}")
-    if abs(e @ e - 0.25) > FRAME_TOL:
-        raise ValueError("e must have squared norm 1/4")
+    if not abs(e @ e - 0.25) <= FRAME_TOL:  # also rejects NaN
+        raise ValueError(f"e must be finite with squared norm 1/4, got {e.tolist()}")
     complement = np.linalg.svd(e.reshape(1, 5))[2][1:]
     q, r = np.linalg.qr(rng.standard_normal((4, 4)))
     q = q * np.sign(np.diag(r))
@@ -182,6 +182,8 @@ def lambda_star_sq_623(e):
 
 def single_param_frame_623(theta):
     """The one-parameter frame whose lambda*^2 runs over [0.6, 1]."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     c, s = math.cos(theta), math.sin(theta)
     A = 0.5 * np.array(
         [
@@ -405,7 +407,7 @@ def cyclic_coeffs_from_lambda(lam, branch_c1=-1, branch_c3=-1):
         taken in c3.  All four combinations solve the constraints; the
         c1 = -1 branch matches the 'plus' permutation code at lambda* = sqrt(7).
     """
-    if lam < 0 or lam > SQRT7 + 1e-12:
+    if not 0 <= lam <= SQRT7 + 1e-12:  # also rejects NaN
         raise ValueError(f"lambda* must lie in [0, sqrt(7)], got {lam}")
     if branch_c1 not in (-1, 1) or branch_c3 not in (-1, 1):
         raise ValueError("branches must be +1 or -1")
@@ -423,7 +425,7 @@ def cyclic_coeffs_from_lambda(lam, branch_c1=-1, branch_c3=-1):
     coeffs = CyclicCoeffs(c0=c0, c1=c1, c2=c2, c3=c3, c4=c4,
                           branch_c1=branch_c1, branch_c3=branch_c3)
     residual = float(np.abs(cyclic_constraint_residuals(coeffs)).max())
-    if residual > 1e-12:
+    if not residual <= 1e-12:
         raise ValueError(f"cyclic coefficients miss the constraints by {residual:.3e}")
     return coeffs
 
@@ -456,7 +458,7 @@ def cyclic_branches(lam, tol=1e-10):
 def cyclic_code_723(coeffs, tol=1e-10):
     """Build the cyclic seven-qubit code of a coefficient set."""
     residuals = cyclic_constraint_residuals(coeffs)
-    if np.abs(residuals).max() > tol:
+    if not np.abs(residuals).max() <= tol:  # also rejects NaN
         raise ValueError(
             "coefficients violate the constraints; residuals "
             + ", ".join(f"{r:.3e}" for r in residuals)

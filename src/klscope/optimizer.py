@@ -5,11 +5,13 @@ theta (theta^dag theta)^{-1/2}; the losses combine the KL residual with a
 penalty weight mu and a length objective (minimize, maximize, hit a target
 length, or hit a target vector).  Gradients are analytic: the chain rule
 runs through the eigendecomposition of the K x K Gram matrix.  Each restart
-descends with L-BFGS (gradient-only quasi-Newton), with the penalty weight
-escalated in stages so converged points meet the KL tolerance instead of
-the O(1/mu^2) single-stage penalty floor.
+descends with L-BFGS (gradient-only quasi-Newton) in three stages of
+penalty weight MU_STAGES = (1, 1e3, 1e6) x mu, each run to the gradient
+tolerance GRAD_TOL = 1e-9, so converged points meet the KL tolerance instead
+of the O(1/mu^2) single-stage penalty floor.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -30,6 +32,11 @@ LOSS_KINDS = ("kl_only", "minimize_length", "maximize_length", "target_length", 
 # relative size of the perturbation a warm start descends from
 WARM_START_NOISE = 1e-3
 
+# penalty weights of the escalation stages, in units of LossSpec.mu
+MU_STAGES = (1.0, 1e3, 1e6)
+# L-BFGS-B projected-gradient tolerance of every stage
+GRAD_TOL = 1e-9
+
 
 class ConditioningError(ValueError):
     """theta is too close to singular for the polar map."""
@@ -45,10 +52,12 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < math.inf:  # also rejects NaN
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if self.kind == "target_length" and self.target_length is None:
             raise ValueError("target_length loss needs a target length")
+        if self.target_length is not None and not math.isfinite(self.target_length):
+            raise ValueError(f"target_length must be finite, got {self.target_length}")
         if self.kind == "target_vector":
             if self.target_vector is None:
                 raise ValueError("target_vector loss needs a target vector")
@@ -56,6 +65,8 @@ class LossSpec:
             if hasattr(tv, "components"):  # accept a SignatureVector
                 tv = tv.components
             v = np.array(tv, dtype=float)
+            if not np.isfinite(v).all():
+                raise ValueError("target_vector must be finite")
             v.setflags(write=False)
             object.__setattr__(self, "target_vector", v)
 
@@ -66,15 +77,16 @@ class OptimizerConfig:
     restarts: int = 50
     max_iters: int = 2000
     kl_tol: float = 1e-10
-    grad_tol: float = 1e-9
-    mu_stages: tuple = (1.0, 1e3, 1e6)
     stop_on_loss: float | None = None  # end restarts early once reached
-    record_history: bool = False
 
     def __post_init__(self):
         for name in ("restarts", "max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("kl_tol", "stop_on_loss"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +113,6 @@ class OptimizationResult:
     converged: bool
     wall_time_ms: int
     restart_summaries: list = field(default_factory=list)
-    history: list | None = None
 
 
 def _stacked_action(ops):
@@ -141,6 +152,21 @@ def stiefel_map(theta):
     return CodeSubspace(n=n, K=K, basis=psi)
 
 
+def _length_term(spec, mean, length_sq):
+    """Length objective of the loss and half its derivative in ``mean``."""
+    if spec.kind == "kl_only":
+        return 0.0, np.zeros_like(mean)
+    if spec.kind == "minimize_length":
+        return length_sq, mean
+    if spec.kind == "maximize_length":
+        return -length_sq, -mean
+    if spec.kind == "target_length":
+        gap = length_sq - spec.target_length ** 2
+        return gap ** 2, 2 * gap * mean
+    dv = mean - spec.target_vector  # target_vector
+    return float(dv @ dv), dv
+
+
 def _evaluate(theta, action, spec, mu, want_grad):
     """Loss (and gradient, KL residual, length^2) at theta."""
     psi, R, U, s = _polar(theta)
@@ -151,32 +177,13 @@ def _evaluate(theta, action, spec, mu, want_grad):
 
     # kl_only is unweighted at the base stage; escalation still applies
     mu_eff = mu / spec.mu if spec.kind == "kl_only" else mu
-    if spec.kind == "kl_only":
-        loss = mu_eff * kl
-    elif spec.kind == "minimize_length":
-        loss = mu_eff * kl + length_sq
-    elif spec.kind == "maximize_length":
-        loss = mu_eff * kl - length_sq
-    elif spec.kind == "target_length":
-        loss = mu_eff * kl + (length_sq - spec.target_length ** 2) ** 2
-    else:  # target_vector
-        dv = mean - spec.target_vector
-        loss = mu_eff * kl + float(dv @ dv)
+    term, half_derivative = _length_term(spec, mean, length_sq)
+    loss = mu_eff * kl + term
 
     if not want_grad:
         return loss, {"kl": kl, "length_sq": length_sq, "components": mean}
 
-    if spec.kind == "kl_only":
-        g = np.zeros_like(mean)
-    elif spec.kind == "minimize_length":
-        g = mean / K
-    elif spec.kind == "maximize_length":
-        g = -mean / K
-    elif spec.kind == "target_length":
-        g = 2 * (length_sq - spec.target_length ** 2) * mean / K
-    else:
-        g = (mean - spec.target_vector) / K
-
+    g = half_derivative / K
     # M_a = W_a + W_a^dag where dL = sum_a 2 Re tr(W_a^dag dA_a)
     idx = np.arange(K)
     M = A + A.conj().transpose(0, 2, 1)
@@ -211,12 +218,10 @@ def gradient(theta, ops, spec):
     return aux["grad"]
 
 
-def _descend_lbfgs(theta, action, spec, mu, cfg, history=None, phase=0):
-    """One escalation stage of L-BFGS on the real-packed parameters."""
+def _descend_lbfgs(theta, action, spec, mu, cfg):
+    """One escalation stage of L-BFGS on the real-packed parameters;
+    returns the end point and the iteration count."""
     m, K = theta.shape
-
-    def pack(t):
-        return np.concatenate([t.real.ravel(), t.imag.ravel()])
 
     def unpack(x):
         return (x[: m * K] + 1j * x[m * K:]).reshape(m, K)
@@ -229,26 +234,14 @@ def _descend_lbfgs(theta, action, spec, mu, cfg, history=None, phase=0):
         g = aux["grad"]
         return f, np.concatenate([g.real.ravel(), g.imag.ravel()])
 
-    callback = None
-    if history is not None:
-        counter = [0]
-
-        def callback(xk):
-            f, aux = _evaluate(unpack(xk), action, spec, mu, False)
-            history.append((phase, counter[0], f, aux["kl"], np.nan))
-            counter[0] += 1
-
     res = scipy.optimize.minimize(
         fun,
-        pack(theta),
+        np.concatenate([theta.real.ravel(), theta.imag.ravel()]),
         jac=True,
         method="L-BFGS-B",
-        callback=callback,
-        options=dict(maxiter=cfg.max_iters, ftol=1e-20, gtol=cfg.grad_tol, maxcor=20),
+        options=dict(maxiter=cfg.max_iters, ftol=1e-20, gtol=GRAD_TOL, maxcor=20),
     )
-    theta = unpack(res.x)
-    f, aux = _evaluate(theta, action, spec, mu, True)
-    return theta, f, aux, int(res.nit)
+    return unpack(res.x), int(res.nit)
 
 
 def _gaussian(rng, m, K):
@@ -257,9 +250,10 @@ def _gaussian(rng, m, K):
 
 def _run_restart(seed_index, seq, m, K, action, spec, cfg, start=None):
     """One restart from a random start, or from ``start`` nudged by
-    WARM_START_NOISE (relative, Frobenius) drawn from the same seed."""
-    if not 1 <= K <= m:  # else every start is rank-deficient and the redraw never ends
-        raise ValueError(f"need 1 <= K <= {m}, got {K}")
+    WARM_START_NOISE (relative, Frobenius) drawn from the same seed.
+
+    Returns (RestartSummary, end point theta, per-operator mean diagonal).
+    """
     rng = np.random.default_rng(seq)
     if start is not None:
         noise = _gaussian(rng, m, K)
@@ -273,27 +267,31 @@ def _run_restart(seed_index, seq, m, K, action, spec, cfg, start=None):
                 break
             except ConditioningError:
                 continue  # measure-zero event: re-draw the start
-    history = [] if cfg.record_history else None
     total_iters = 0
-    final_gnorm = np.inf
-    for phase, scale in enumerate(cfg.mu_stages):
-        theta, f, aux, iters = _descend_lbfgs(
-            theta, action, spec, spec.mu * scale, cfg, history=history, phase=phase
-        )
+    for scale in MU_STAGES:
+        theta, iters = _descend_lbfgs(theta, action, spec, spec.mu * scale, cfg)
         total_iters += iters
-        final_gnorm = float(np.linalg.norm(aux["grad"]))
-    base_loss, base_aux = _evaluate(theta, action, spec, spec.mu, False)
-    return {
-        "seed_index": seed_index,
-        "theta": theta,
-        "loss": base_loss,
-        "kl": base_aux["kl"],
-        "length_sq": base_aux["length_sq"],
-        "components": base_aux["components"],
-        "grad_norm": final_gnorm,
-        "iterations": total_iters,
-        "history": history,
-    }
+    _, aux = _evaluate(theta, action, spec, spec.mu * MU_STAGES[-1], True)
+    grad_norm = float(np.linalg.norm(aux["grad"]))
+    base_loss, aux = _evaluate(theta, action, spec, spec.mu, False)
+    summary = RestartSummary(
+        seed_index=seed_index,
+        final_loss=base_loss,
+        kl_violation=aux["kl"],
+        lambda_sq=aux["length_sq"],
+        iterations=total_iters,
+        grad_norm=grad_norm,
+    )
+    return summary, theta, aux["components"]
+
+
+def _restarts(m, K, action, spec, cfg, start=None):
+    """The outcomes of ``cfg.restarts`` seeded restarts, in seed order;
+    ``start`` (if given) takes the first slot."""
+    if not 1 <= K <= m:  # else every start is rank-deficient and the redraw never ends
+        raise ValueError(f"need 1 <= K <= {m}, got {K}")
+    for r, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)):
+        yield _run_restart(r, seq, m, K, action, spec, cfg, start if r == 0 else None)
 
 
 def optimize(n, K, ops, spec, config=None, *, start=None):
@@ -315,52 +313,35 @@ def optimize(n, K, ops, spec, config=None, *, start=None):
         if start.shape != (m, K):
             raise ValueError(f"start has shape {start.shape}, expected {(m, K)}")
     t0 = time.perf_counter()
-    seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     outcomes = []
-    for r, seq in enumerate(seqs):
-        outcomes.append(
-            _run_restart(r, seq, m, K, action, spec, cfg, start=start if r == 0 else None)
-        )
-        if cfg.stop_on_loss is not None and outcomes[-1]["loss"] <= cfg.stop_on_loss:
+    for outcome in _restarts(m, K, action, spec, cfg, start):
+        outcomes.append(outcome)
+        if cfg.stop_on_loss is not None and outcome[0].final_loss <= cfg.stop_on_loss:
             break
 
-    best = min(outcomes, key=lambda o: (o["loss"], o["kl"]))
+    best, theta, _ = min(outcomes, key=lambda o: (o[0].final_loss, o[0].kl_violation))
     for o in outcomes:
-        if o["loss"] <= best["loss"] + 1e-12 and o["kl"] < best["kl"]:
-            best = o
+        if o[0].final_loss <= best.final_loss + 1e-12 and o[0].kl_violation < best.kl_violation:
+            best, theta, _ = o
 
-    code = stiefel_map(best["theta"])
+    code = stiefel_map(theta)
+    lam = float(np.sqrt(max(best.lambda_sq, 0.0)))
+    kl = best.kl_violation
     if isinstance(ops, ErrorBasis):
         kl = codespace_kl_violation(code, ops)
-        lam = float(np.sqrt(max(best["length_sq"], 0.0)))
         if kl <= cfg.kl_tol:
             lam = float(np.linalg.norm(signature_vector(code, ops, cfg.kl_tol).components))
-    else:
-        kl = best["kl"]
-        lam = float(np.sqrt(max(best["length_sq"], 0.0)))
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
-    summaries = [
-        RestartSummary(
-            seed_index=o["seed_index"],
-            final_loss=o["loss"],
-            kl_violation=o["kl"],
-            lambda_sq=o["length_sq"],
-            iterations=o["iterations"],
-            grad_norm=o["grad_norm"],
-        )
-        for o in outcomes
-    ]
     return OptimizationResult(
         code=code,
         kl_violation=kl,
         lambda_star=lam,
-        final_loss=best["loss"],
-        iterations=best["iterations"],
+        final_loss=best.final_loss,
+        iterations=best.iterations,
         restarts_used=len(outcomes),
         converged=kl <= cfg.kl_tol,
         wall_time_ms=wall_ms,
-        restart_summaries=summaries,
-        history=best["history"],
+        restart_summaries=[o[0] for o in outcomes],
     )
 
 
@@ -380,20 +361,18 @@ def jnr_feasibility(operators, K, config=None, residual_tol=1e-9, dedup_tol=1e-6
     cfg = config or OptimizerConfig(restarts=200)
     action = _stacked_action(operators)
     spec = LossSpec(kind="kl_only", mu=1.0)
-    m = action.shape[1]
-    seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     points = []
-    for r, seq in enumerate(seqs):
-        out = _run_restart(r, seq, m, K, action, spec, cfg)
-        if out["kl"] <= residual_tol:
-            vals = out["components"]
+    for summary, _, vals in _restarts(action.shape[1], K, action, spec, cfg):
+        if summary.kl_violation <= residual_tol:
             for p in points:
                 if np.abs(vals - np.asarray(p["values"])).max() <= dedup_tol:
                     p["hits"] += 1
-                    p["residual"] = min(p["residual"], out["kl"])
+                    p["residual"] = min(p["residual"], summary.kl_violation)
                     break
             else:
-                points.append(
-                    {"values": tuple(float(v) for v in vals), "residual": out["kl"], "hits": 1}
-                )
+                points.append({
+                    "values": tuple(float(v) for v in vals),
+                    "residual": summary.kl_violation,
+                    "hits": 1,
+                })
     return [JNRPoint(values=p["values"], residual=p["residual"], hits=p["hits"]) for p in points]

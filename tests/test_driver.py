@@ -19,6 +19,7 @@ from klscope.codespace import (
 )
 from klscope.driver import (
     SWEEP_CSV_HEADER,
+    SweepResult,
     SweepRow,
     construct_code,
     main,
@@ -303,7 +304,7 @@ def test_cli_sweep_failed_write_keeps_previous_csv(tmp_path, monkeypatch):
     assert path.read_text() == previous
 
 
-def test_cli_rejects_bad_numeric_input(tmp_path):
+def test_cli_rejects_bad_numeric_input(tmp_path, capsys):
     ops = tmp_path / "ops.txt"
     ops.write_text("XI\nZI\n")
     sweep_args = ["sweep", "--n", "2", "--K", "1", "--d", "2", "--from", "0.2", "--to", "1.0"]
@@ -317,6 +318,50 @@ def test_cli_rejects_bad_numeric_input(tmp_path):
         ["sweep", "--n", "2", "--K", "0", "--d", "2", "--grid", "0.5", "--restarts", "1"],
     ):
         assert main(argv) == 2, argv
+    capsys.readouterr()
+    # non-finite values are refused before any search, by an error naming them
+    for argv, name in (
+        (["optimize", "--mu", "nan"], "mu"),
+        (["optimize", "--mu", "inf"], "mu"),
+        (["optimize", "--kl-tol", "nan"], "kl_tol"),
+        (["optimize", "--mode", "target_length", "--lambda-target", "nan"], "lambda_target"),
+        (["optimize", "--mode", "kl_only", "--lambda-target", "inf"], "lambda_target"),
+        (["sweep", "--grid", "0.5,nan"], "grid"),
+        (["sweep", "--grid", "inf"], "grid"),
+        (["sweep", "--step", "nan"], "--step"),
+        (["sweep", "--step", "inf"], "--step"),
+        (["sweep", "--to", "inf"], "--to"),
+        (["sweep", "--from", "nan"], "--from"),
+        (["sweep", "--grid", "0.5", "--mu", "nan"], "mu"),
+        (["sweep", "--grid", "0.5", "--kl-tol", "inf"], "kl_tol"),
+    ):
+        argv = [*argv, "--n", "2", "--K", "1", "--d", "2", "--restarts", "1"]
+        assert main(argv) == 2, argv
+        assert name in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("config, name", [
+    ([1, 2], "JSON object"),
+    ("n", "JSON object"),
+    ({"n": "2", "K": 1}, "'n'"),
+    ({"n": 2.0, "K": 1}, "'n'"),
+    ({"n": True, "K": 1}, "'n'"),
+    ({"n": 2, "K": 1, "seed": "x"}, "'seed'"),
+    ({"n": 2, "K": 1, "restarts": None}, "'restarts'"),
+    ({"n": 2, "K": 1, "mu": "1000"}, "'mu'"),
+    ({"n": 2, "K": 1, "mode": 3}, "'mode'"),
+    ({"n": 2, "K": 1, "restart": 3}, "'restart'"),
+    ({"K": 1}, "n and K"),
+    ({"n": 2}, "n and K"),
+    ({"n": 2, "K": 1, "mode": "target_length"}, "lambda_target"),
+    ({"n": 2, "K": 1, "mode": "target_length", "lambda_target": float("nan")}, "lambda_target"),
+    ({"n": 2, "K": 1, "d": 2, "restarts": 0}, "restarts"),
+])
+def test_cli_optimize_config_rejected_naming_the_field(tmp_path, capsys, config, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["optimize", "--config", str(path)]) == 2
+    assert name in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [
@@ -335,15 +380,23 @@ def test_cli_rejects_code_dimension_above_hilbert_space(command):
     assert "1 <= K <= 4" in done.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["construct", "family723"],
-    ["construct", "family723", "--lambda-star", "1.0", "--branch", "x-"],
-    ["construct", "family723", "--lambda-star", "1.0", "--branch", "+"],
-    ["construct", "family723", "--lambda-star", "1.0", "--branch", "+-+"],
-    ["construct", "stabilizer"],
-], ids=["no-lambda-star", "bad-sign", "one-sign", "three-signs", "no-generators"])
-def test_cli_construct_rejects_bad_input(argv):
+@pytest.mark.parametrize("argv, name", [
+    (["construct", "family723"], "--lambda-star"),
+    (["construct", "family723", "--lambda-star", "1.0", "--branch", "x-"], "--branch"),
+    (["construct", "family723", "--lambda-star", "1.0", "--branch", "+"], "--branch"),
+    (["construct", "family723", "--lambda-star", "1.0", "--branch", "+-+"], "--branch"),
+    (["construct", "stabilizer"], "generators"),
+    (["construct", "family723", "--lambda-star", "nan"], "lambda*"),
+    (["construct", "family723", "--lambda-star", "inf"], "lambda*"),
+    (["construct", "family623", "--theta", "nan"], "theta"),
+    (["construct", "family623", "--theta", "inf"], "theta"),
+    (["construct", "family623", "--e-vector", "nan,0,0,0,0"], "e must"),
+    (["construct", "family623", "--e-vector", "0.5,0,0,0,inf"], "e must"),
+], ids=["no-lambda-star", "bad-sign", "one-sign", "three-signs", "no-generators",
+        "lambda-nan", "lambda-inf", "theta-nan", "theta-inf", "e-nan", "e-inf"])
+def test_cli_construct_rejects_bad_input(argv, name, capsys):
     assert main(argv) == 2
+    assert name in capsys.readouterr().err
 
 
 def test_cli_rejects_input_naming_it(tmp_path, capsys):
@@ -376,8 +429,18 @@ def test_cli_error_exit_code(tmp_path):
 
 
 def test_sweep_row_csv_format():
+    assert SWEEP_CSV_HEADER == (
+        "target_lambda_sq,final_loss,kl_violation,achieved_lambda_sq,restarts_used,wall_ms"
+    )
     row = SweepRow(0.6, 1e-12, 1e-15, 0.6000001, 8, 123)
-    text = row.csv()
-    parts = text.split(",")
-    assert len(parts) == 6
-    assert float(parts[0]) == 0.6 and int(parts[4]) == 8
+    assert row.csv() == "0.6,1e-12,1e-15,0.6000001,8,123"
+
+
+def test_sweep_csv_round_trip_is_exact():
+    rows = [
+        SweepRow(0.1 + 0.2, 5e-324, 0.0, 1 / 3, 12, 0),
+        SweepRow(1e300, 2.2250738585072014e-308, 1e-30, math.pi, 1, 98765),
+    ]
+    text = SweepResult(rows).csv()
+    assert text.splitlines()[0] == SWEEP_CSV_HEADER
+    assert read_sweep_csv(text) == rows

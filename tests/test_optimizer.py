@@ -193,18 +193,6 @@ def test_warm_start_validates_shape():
         optimize(2, 2, basis, spec, OptimizerConfig(restarts=1), start=np.zeros((4, 2)))
 
 
-def test_lbfgs_history_best_so_far_monotone():
-    basis = enumerate_error_basis(2, 2)
-    spec = LossSpec("minimize_length", mu=1000.0)
-    cfg = OptimizerConfig(seed=2, restarts=1, record_history=True)
-    res = optimize(2, 1, basis, spec, cfg)
-    assert res.history
-    for phase in set(h[0] for h in res.history):
-        losses = np.array([h[2] for h in res.history if h[0] == phase])
-        best = np.minimum.accumulate(losses)
-        assert np.abs(best - np.minimum.accumulate(best)).max() == 0
-
-
 def test_target_vector_loss_accepts_signature():
     shaw = codespace_from_stabilizer(builtin("shaw623"))
     basis = enumerate_error_basis(6, 3)
@@ -250,11 +238,37 @@ def test_jnr_full_rank_trace_average():
     assert jnr_feasibility(ops, 4, OptimizerConfig(seed=2, restarts=3)) == []
 
 
+def test_jnr_sees_the_restarts_of_a_kl_only_search():
+    ops = [dense_matrix(pauli_from_string(w)) for w in ("XI", "XZ", "YI", "YZ", "ZI")]
+    cfg = OptimizerConfig(seed=5, restarts=25)
+    residual_tol = 1e-9
+    points = jnr_feasibility(ops, 2, cfg, residual_tol=residual_tol)
+    res = optimize(2, 2, ops, LossSpec("kl_only", mu=1.0), cfg)
+    assert [s.seed_index for s in res.restart_summaries] == list(range(25))
+    hits = sum(s.kl_violation <= residual_tol for s in res.restart_summaries)
+    assert sum(p.hits for p in points) == hits
+    assert min(p.residual for p in points) == min(s.kl_violation for s in res.restart_summaries)
+
+
 def test_config_rejects_empty_budgets():
     with pytest.raises(ValueError, match="restarts"):
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError, match="max_iters"):
         OptimizerConfig(max_iters=0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_search_input_rejected(value):
+    with pytest.raises(ValueError, match="kl_tol"):
+        OptimizerConfig(kl_tol=value)
+    with pytest.raises(ValueError, match="stop_on_loss"):
+        OptimizerConfig(stop_on_loss=value)
+    with pytest.raises(ValueError, match="mu"):
+        LossSpec("kl_only", mu=value)
+    with pytest.raises(ValueError, match="target_length"):
+        LossSpec("target_length", target_length=value)
+    with pytest.raises(ValueError, match="target_vector"):
+        LossSpec("target_vector", target_vector=[0.0, value])
 
 
 def test_jnr_validates_input():
