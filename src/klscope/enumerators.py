@@ -55,7 +55,7 @@ def weight_enumerators(code):
 
 def closed_form_723(lam):
     """Closed-form enumerator of the seven-qubit cyclic family at a given lambda*."""
-    if lam < 0 or lam > math.sqrt(7) + 1e-9:
+    if not 0 <= lam <= math.sqrt(7) + 1e-9:  # also rejects NaN
         raise ValueError(f"lambda* must lie in [0, sqrt(7)], got {lam}")
     t = lam ** 2
     A = np.array([1.0, 0.0, t, 0.0, 21 - 2 * t, 0.0, 42 + t, 0.0])
@@ -65,6 +65,8 @@ def closed_form_723(lam):
 
 def closed_form_623(theta):
     """Closed-form enumerator of the six-qubit single-parameter family."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     c2, c4 = math.cos(2 * theta), math.cos(4 * theta)
     A = np.array(
         [

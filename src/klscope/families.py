@@ -1,9 +1,11 @@
 """Exact code families on six and seven qubits.
 
-Six qubits: codes |0_L> = sum_i |x_i>|S_i> built from an orthogonal frame
-(a, b, c, d, e) in R^5 with all columns of squared norm 1/4; the signature
-norm depends only on e through lambda*^2 = 1/2 + 8 sum_i e_i^4 and sweeps
-[0.6, 1].  Seven qubits: permutation-invariant codes on the Dicke basis and
+Six qubits: codes |0_L> = sum_i |x_i>|S_i> built from an orthogonal frame,
+the 5x5 matrix A = [a b c d e] with A A^T = I/4 (``OrthoFrame``; the samplers
+build A directly from one sign-fixed real QR, ``frame_from_abcd`` completes
+four columns by SVD).  The signature norm depends only on the completion
+column e through lambda*^2 = 1/2 + 8 sum_i e_i^4 and sweeps [0.6, 1].
+Seven qubits: permutation-invariant codes on the Dicke basis and
 cyclic codes on even-weight cyclic orbits, parameterized by lambda* in
 [0, sqrt(7)].  Includes Hamiltonian ground-space checks and the frame-rotation
 / physical-unitary correspondence for the six-qubit family.
@@ -16,11 +18,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codespace import CodeSubspace, SignatureVector, apply_local_unitary, kl_violation, new_code
-from .pauli import dense_matrix, enumerate_error_basis, pauli_from_string
+from .pauli import apply_pauli, dense_matrix, enumerate_error_basis, pauli_from_string
 
 SQRT7 = math.sqrt(7.0)
 
-FRAME_TOL = 1e-10
+FRAME_TOL = 1e-10  # A A^T = I/4 and |e|^2 = 1/4
+CHECK_TOL = 1e-10  # KL violation, cyclic constraint residuals, shared projectors
+GAP_TOL = 1e-8     # energy window of a Hamiltonian's ground space
+
+
+def _word(n, sites, letter):
+    """The n-qubit Pauli word with ``letter`` on the 1-based ``sites``, I elsewhere."""
+    return "".join(letter if q in sites else "I" for q in range(1, n + 1))
+
+
+def _pauli_sum(n, terms):
+    """Dense sum of coeff * P over (coeff, word) terms, added in order."""
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for coeff, word in terms:
+        h += coeff * dense_matrix(pauli_from_string(word))
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -47,57 +64,57 @@ def s_basis_623():
 
 @dataclass(frozen=True)
 class OrthoFrame:
-    """Columns a..e of a 5x5 matrix A with A A^T = I/4 (2A orthogonal)."""
+    """The 5x5 matrix A = [a b c d e] with A A^T = I/4 (2A orthogonal)."""
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self):
-        for name in "abcde":
-            v = np.array(getattr(self, name), dtype=float)
-            if v.shape != (5,):
-                raise ValueError(f"column {name} must be a real 5-vector")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        A = self.matrix
+        A = np.array(self.matrix, dtype=float)
+        if A.shape != (5, 5):
+            raise ValueError(f"frame matrix must be real 5x5, got shape {A.shape}")
         if not np.abs(A @ A.T - np.eye(5) / 4).max() <= FRAME_TOL:  # also rejects NaN
             raise ValueError("frame columns do not satisfy A A^T = I/4")
+        A.setflags(write=False)
+        object.__setattr__(self, "matrix", A)
 
-    @property
-    def matrix(self):
-        return np.stack([self.a, self.b, self.c, self.d, self.e], axis=1)
+    a = property(lambda self: self.matrix[:, 0])
+    b = property(lambda self: self.matrix[:, 1])
+    c = property(lambda self: self.matrix[:, 2])
+    d = property(lambda self: self.matrix[:, 3])
+    e = property(lambda self: self.matrix[:, 4])
 
 
-def frame_from_abcd(a, b, c, d, tol=FRAME_TOL):
+def _completion_vector(e):
+    """e as a float 5-vector; raises unless it is finite with |e|^2 = 1/4."""
+    e = np.asarray(e, dtype=float)
+    if e.shape != (5,):
+        raise ValueError(f"e must have 5 components, got shape {e.shape}")
+    if not abs(e @ e - 0.25) <= FRAME_TOL:  # also rejects NaN and inf
+        raise ValueError(f"e must be finite with squared norm 1/4, got {e.tolist()}")
+    return e
+
+
+def _orthogonal(rng, k):
+    """Haar-random k x k orthogonal matrix: the sign-fixed QR of a Gaussian matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((k, k)))
+    return q * np.sign(np.diag(r))
+
+
+def frame_from_abcd(a, b, c, d):
     """Complete four orthogonal 1/4-norm columns with the unique e (sign-fixed)."""
     M = np.stack([np.asarray(v, dtype=float) for v in (a, b, c, d)], axis=1)
     if M.shape != (5, 4):
         raise ValueError("a, b, c, d must be real 5-vectors")
-    gram = M.T @ M
-    if np.abs(gram - np.eye(4) / 4).max() > tol:
+    if not np.abs(M.T @ M - np.eye(4) / 4).max() <= FRAME_TOL:  # also rejects NaN
         raise ValueError("a, b, c, d are not orthogonal with squared norm 1/4")
-    # e spans the null space of [a b c d]^T
-    _, sing, vt = np.linalg.svd(M.T)
-    if sing.min() > 1e-6 and sing.size == 4:
-        e = vt[4] / 2
-    else:
-        raise ValueError("ill-conditioned completion")
-    for x in e:
-        if abs(x) > 1e-12:
-            e = e if x > 0 else -e
-            break
-    return OrthoFrame(a=M[:, 0], b=M[:, 1], c=M[:, 2], d=M[:, 3], e=e)
+    e = np.linalg.svd(M.T)[2][4] / 2  # spans the null space of [a b c d]^T
+    lead = e[np.abs(e) > 1e-12][0]
+    return OrthoFrame(np.column_stack([M, e if lead > 0 else -e]))
 
 
 def random_frame(rng):
-    """Random frame: a Haar-ish orthogonal 5x5 matrix scaled by 1/2."""
-    q, r = np.linalg.qr(rng.standard_normal((5, 5)))
-    q = q * np.sign(np.diag(r))
-    cols = q / 2
-    return frame_from_abcd(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3])
+    """Random frame: a Haar-random orthogonal 5x5 matrix scaled by 1/2."""
+    return OrthoFrame(_orthogonal(rng, 5) / 2)
 
 
 def frame_with_e(e, rng):
@@ -106,42 +123,27 @@ def frame_with_e(e, rng):
     lambda* depends only on e, so this samples the locally-equivalent fiber
     over one signature class.
     """
-    e = np.asarray(e, dtype=float)
-    if e.shape != (5,):
-        raise ValueError(f"e must have 5 components, got shape {e.shape}")
-    if not abs(e @ e - 0.25) <= FRAME_TOL:  # also rejects NaN
-        raise ValueError(f"e must be finite with squared norm 1/4, got {e.tolist()}")
+    e = _completion_vector(e)
     complement = np.linalg.svd(e.reshape(1, 5))[2][1:]
-    q, r = np.linalg.qr(rng.standard_normal((4, 4)))
-    q = q * np.sign(np.diag(r))
-    cols = (q.T @ complement).T / 2
-    return frame_from_abcd(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3])
-
-
-def _gamma(frame):
-    """gamma_j = a_j + i b_j and gamma_{5+j} = c_j + i d_j, j = 1..5."""
-    return frame.a + 1j * frame.b, frame.c + 1j * frame.d
+    return OrthoFrame(np.column_stack([complement.T @ _orthogonal(rng, 4) / 2, e]))
 
 
 def _spinors(frame):
-    g_lo, g_hi = _gamma(frame)
-    xs = np.stack([g_lo, g_hi], axis=1)              # |x_i> = g_i|0> + g_{i+5}|1>
+    """|x_i> = g_i|0> + g_{i+5}|1>, |y_i> = g*_{i+5}|0> - g*_i|1>; g = (a + ib, c + id)."""
+    g_lo, g_hi = frame.a + 1j * frame.b, frame.c + 1j * frame.d
+    xs = np.stack([g_lo, g_hi], axis=1)
     ys = np.stack([g_hi.conj(), -g_lo.conj()], axis=1)
     return xs, ys
 
 
-def code_623(frame, check_tol=1e-10):
+def code_623(frame):
     """The six-qubit code of a frame; raises if the exact family is violated."""
-    s_states = s_basis_623()
+    s_states = np.array(s_basis_623())
     xs, ys = _spinors(frame)
-    zero_l = np.zeros(64, dtype=complex)
-    one_l = np.zeros(64, dtype=complex)
-    for i in range(5):
-        zero_l += np.kron(xs[i], s_states[i])
-        one_l += np.kron(ys[i], s_states[i])
-    code = new_code(6, [zero_l, one_l])
+    # sum_i |x_i> (x) |S_i>: each of the 32 indices lies in at most one S_i
+    code = new_code(6, [(xs.T @ s_states).ravel(), (ys.T @ s_states).ravel()])
     violation = kl_violation(code, enumerate_error_basis(6, 3))
-    if violation > check_tol:
+    if not violation <= CHECK_TOL:
         raise AssertionError(
             f"frame-family construction bug: KL violation {violation:.3e}"
         )
@@ -154,11 +156,14 @@ def predicted_signature_623(e, basis=None):
     Nonzero entries sit on X_iX_j and Y_iY_j (value -2 e_{7-i} e_{7-j}) and on
     Z_iZ_j (value 2 e_{7-i}^2 + 2 e_{7-j}^2) for qubit pairs 2 <= i < j <= 6.
     """
-    e = np.asarray(e, dtype=float)
-    if abs(e @ e - 0.25) > FRAME_TOL:
-        raise ValueError("e must have squared norm 1/4")
+    e = _completion_vector(e)
     if basis is None:
         basis = enumerate_error_basis(6, 3)
+    elif basis.n != 6 or basis.d < 3:
+        raise ValueError(
+            f"the predicted signature needs a 6-qubit error basis with d >= 3, "
+            f"got n={basis.n}, d={basis.d}"
+        )
     comps = np.zeros(len(basis))
     for i, j in itertools.combinations(range(2, 7), 2):
         ei, ej = e[7 - i - 1], e[7 - j - 1]
@@ -167,17 +172,13 @@ def predicted_signature_623(e, basis=None):
             ("Y", -2 * ei * ej),
             ("Z", 2 * ei ** 2 + 2 * ej ** 2),
         ):
-            word = ["I"] * 6
-            word[i - 1] = letter
-            word[j - 1] = letter
-            comps[basis.index_of["".join(word)]] = value
+            comps[basis.index_of[_word(6, (i, j), letter)]] = value
     return SignatureVector(basis=basis, components=comps)
 
 
 def lambda_star_sq_623(e):
     """lambda*^2 = 1/2 + 8 sum_i e_i^4 for a valid completion vector."""
-    e = np.asarray(e, dtype=float)
-    return 0.5 + 8 * float(np.sum(e ** 4))
+    return 0.5 + 8 * float(np.sum(_completion_vector(e) ** 4))
 
 
 def single_param_frame_623(theta):
@@ -185,7 +186,7 @@ def single_param_frame_623(theta):
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     c, s = math.cos(theta), math.sin(theta)
-    A = 0.5 * np.array(
+    return OrthoFrame(0.5 * np.array(
         [
             [0.5, 0.5, 0.5, 0.5 * c, 0.5 * s],
             [0.5, -0.5, -0.5, 0.5 * c, 0.5 * s],
@@ -193,8 +194,7 @@ def single_param_frame_623(theta):
             [-0.5, -0.5, 0.5, 0.5 * c, 0.5 * s],
             [0.0, 0.0, 0.0, -s, c],
         ]
-    )
-    return OrthoFrame(a=A[:, 0], b=A[:, 1], c=A[:, 2], d=A[:, 3], e=A[:, 4])
+    ))
 
 
 def block_eigenvalues(r, s):
@@ -256,12 +256,6 @@ def _rot2(axis, theta):
     return math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * sigma
 
 
-def _expm_skew(m, theta):
-    """exp(theta * m) for a real skew-symmetric m, via the Hermitian i*m."""
-    vals, vecs = np.linalg.eigh(1j * m.astype(complex))
-    return (vecs * np.exp(-1j * theta * vals)) @ vecs.conj().T
-
-
 @dataclass(frozen=True)
 class So4Report:
     generator: str
@@ -281,10 +275,10 @@ def so4_check(frame, generator, theta):
     if generator not in SO4_GENERATORS:
         raise ValueError(f"unknown generator {generator!r}")
     sign, unitary = SO4_CORRESPONDENCE[generator]
-    rot = _expm_skew(SO4_GENERATORS[generator], sign * theta).real
-    block = np.stack([frame.a, frame.b, frame.c, frame.d], axis=1) @ rot
-    rotated = OrthoFrame(a=block[:, 0], b=block[:, 1], c=block[:, 2], d=block[:, 3], e=frame.e)
-    lhs = code_623(rotated)
+    # exp(t K) = cos t I + sin t K, exact because every generator squares to -I
+    t = sign * theta
+    rot = math.cos(t) * np.eye(4) + math.sin(t) * SO4_GENERATORS[generator]
+    lhs = code_623(OrthoFrame(np.column_stack([frame.matrix[:, :4] @ rot, frame.e])))
 
     base = code_623(frame)
     if unitary in ("X1", "Y1", "Z1"):
@@ -312,12 +306,7 @@ def dicke(n, k):
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     v = np.zeros(2 ** n, dtype=complex)
-    amp = 1 / math.sqrt(math.comb(n, k))
-    for sites in itertools.combinations(range(n), k):
-        idx = 0
-        for s in sites:
-            idx |= 1 << (n - 1 - s)
-        v[idx] = amp
+    v[np.bitwise_count(np.arange(2 ** n)) == k] = 1 / math.sqrt(math.comb(n, k))
     return v
 
 
@@ -330,14 +319,7 @@ def perm_code_723(variant="plus"):
     else:
         raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
     zero_l = sum(w * dicke(7, k) for w, k in zip(signs, (0, 2, 4, 6))) / 8
-    one_l = _flip_all(zero_l, 7)
-    return new_code(7, [zero_l, one_l])
-
-
-def _flip_all(vec, n):
-    """Apply X on every qubit: reverse every bit of the index."""
-    idx = np.arange(2 ** n) ^ (2 ** n - 1)
-    return vec[idx]
+    return new_code(7, [zero_l, apply_pauli("X" * 7, zero_l)])
 
 
 def _cyclic_orbit_state(pattern):
@@ -430,24 +412,19 @@ def cyclic_coeffs_from_lambda(lam, branch_c1=-1, branch_c3=-1):
     return coeffs
 
 
-def cyclic_branches(lam, tol=1e-10):
+def cyclic_branches(lam):
     """All four sign branches at one lambda*, with coinciding-projector groups.
 
     Returns (branches, groups): a dict (branch_c1, branch_c3) -> CyclicCoeffs
     and a partition of the four keys into groups whose codes share a projector.
     """
-    branches = {}
-    codes = {}
-    for b1 in (-1, 1):
-        for b3 in (-1, 1):
-            coeffs = cyclic_coeffs_from_lambda(lam, b1, b3)
-            branches[(b1, b3)] = coeffs
-            codes[(b1, b3)] = cyclic_code_723(coeffs, tol=tol)
+    branches = {(b1, b3): cyclic_coeffs_from_lambda(lam, b1, b3)
+                for b1 in (-1, 1) for b3 in (-1, 1)}
+    projectors = {key: cyclic_code_723(c).projector for key, c in branches.items()}
     groups = []
-    for key in branches:
+    for key, proj in projectors.items():
         for group in groups:
-            ref = codes[group[0]]
-            if np.abs(codes[key].projector - ref.projector).max() <= 1e-10:
+            if np.abs(proj - projectors[group[0]]).max() <= CHECK_TOL:
                 group.append(key)
                 break
         else:
@@ -455,10 +432,10 @@ def cyclic_branches(lam, tol=1e-10):
     return branches, groups
 
 
-def cyclic_code_723(coeffs, tol=1e-10):
+def cyclic_code_723(coeffs):
     """Build the cyclic seven-qubit code of a coefficient set."""
     residuals = cyclic_constraint_residuals(coeffs)
-    if not np.abs(residuals).max() <= tol:  # also rejects NaN
+    if not np.abs(residuals).max() <= CHECK_TOL:  # also rejects NaN
         raise ValueError(
             "coefficients violate the constraints; residuals "
             + ", ".join(f"{r:.3e}" for r in residuals)
@@ -472,8 +449,7 @@ def cyclic_code_723(coeffs, tol=1e-10):
         coeffs.c4,
     ]
     zero_l = sum(w * v for w, v in zip(weights, basis))
-    one_l = _flip_all(zero_l, 7)
-    return new_code(7, [zero_l, one_l])
+    return new_code(7, [zero_l, apply_pauli("X" * 7, zero_l)])
 
 
 # ---------------------------------------------------------------------------
@@ -539,30 +515,16 @@ def appendix_b_residuals(coeffs):
 
 def hamiltonian_623():
     """-2 Z2 (Z3+Z4+Z5+Z6) + (1/2) sum_{i != j in 3..6} Zi Zj, dense 64x64."""
-    h = np.zeros((64, 64), dtype=complex)
-    for i in (3, 4, 5, 6):
-        word = ["I"] * 6
-        word[1] = "Z"
-        word[i - 1] = "Z"
-        h -= 2 * dense_matrix(pauli_from_string("".join(word)))
-    for i, j in itertools.combinations((3, 4, 5, 6), 2):
-        word = ["I"] * 6
-        word[i - 1] = "Z"
-        word[j - 1] = "Z"
-        h += dense_matrix(pauli_from_string("".join(word)))
-    return h
+    return _pauli_sum(6, [(-2, _word(6, (2, i), "Z")) for i in (3, 4, 5, 6)]
+                      + [(1, _word(6, pair, "Z"))
+                         for pair in itertools.combinations((3, 4, 5, 6), 2)])
 
 
 def hamiltonian_723():
     """-sum_{i != j} (Xi Xj + Yi Yj + Zi Zj) on seven qubits, dense 128x128."""
-    h = np.zeros((128, 128), dtype=complex)
-    for i, j in itertools.combinations(range(1, 8), 2):
-        for letter in "XYZ":
-            word = ["I"] * 7
-            word[i - 1] = letter
-            word[j - 1] = letter
-            h -= 2 * dense_matrix(pauli_from_string("".join(word)))
-    return h
+    return _pauli_sum(7, [(-2, _word(7, pair, letter))
+                          for pair in itertools.combinations(range(1, 8), 2)
+                          for letter in "XYZ"])
 
 
 @dataclass(frozen=True)
@@ -574,7 +536,7 @@ class GroundSpaceReport:
     reference_subspace_deviation: float
 
 
-def hamiltonian_ground_check(which, gap_tol=1e-8):
+def hamiltonian_ground_check(which):
     """Diagonalize the named Hamiltonian and verify degeneracy and containment.
 
     ``h623``: 16-fold ground space containing both theta = 0 codewords.
@@ -593,7 +555,7 @@ def hamiltonian_ground_check(which, gap_tol=1e-8):
         raise ValueError(f"unknown Hamiltonian {which!r}")
     vals, vecs = np.linalg.eigh(h)
     ground = vals[0]
-    sel = vals <= ground + gap_tol
+    sel = vals <= ground + GAP_TOL
     gs = vecs[:, sel]
     proj = gs @ gs.conj().T
     codeword_residual = float(np.abs(proj @ code.basis - code.basis).max())

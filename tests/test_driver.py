@@ -218,6 +218,13 @@ def test_cli_construct_family_roundtrip(tmp_path):
     assert abs(lambda_star(signature_vector(code, basis)) - 1.0) <= 1e-10
 
 
+def test_cli_construct_family623_reports_the_given_e(tmp_path):
+    code_path = tmp_path / "frame.json"
+    assert main(["construct", "family623", "--e-vector=-0.5,0,0,0,0",
+                 "--out", str(code_path)]) == 0
+    assert json.loads(code_path.read_text())["info"]["e"] == [-0.5, 0.0, 0.0, 0.0, 0.0]
+
+
 def test_cli_signature_csv(tmp_path):
     code_path = tmp_path / "shaw.json"
     main(["construct", "stabilizer", "--name", "shaw623", "--out", str(code_path)])

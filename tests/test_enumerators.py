@@ -85,6 +85,18 @@ def test_closed_form_623_examples():
     assert abs(closed_form_623(0.7).A[0] - 1) == 0
 
 
+@pytest.mark.parametrize("closed_form, value, name", [
+    (closed_form_723, math.nan, "lambda"),
+    (closed_form_723, math.inf, "lambda"),
+    (closed_form_623, math.nan, "theta"),
+    (closed_form_623, math.inf, "theta"),
+    (closed_form_623, -math.inf, "theta"),
+])
+def test_closed_forms_reject_non_finite_parameters(closed_form, value, name):
+    with pytest.raises(ValueError, match=name):
+        closed_form(value)
+
+
 def test_computed_matches_closed_form_723():
     for lam in (0.0, 1.0, SQRT7):
         code = cyclic_code_723(cyclic_coeffs_from_lambda(lam, -1, -1))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from klscope.codespace import (
     kl_violation,
@@ -12,6 +14,8 @@ from klscope.codespace import (
 )
 from klscope.families import (
     CYCLIC_ORBIT_PATTERNS,
+    SO4_GENERATORS,
+    OrthoFrame,
     appendix_b_residuals,
     block_eigenvalues,
     code_623,
@@ -101,6 +105,23 @@ def test_frame_completion_examples():
     assert np.abs(np.abs(redone.e) - np.abs(fr2.e)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("matrix, match", [
+    (np.eye(5)[:, :4] / 2, "5x5"),
+    (np.eye(5), "I/4"),
+    (np.full((5, 5), np.nan), "I/4"),
+])
+def test_ortho_frame_rejects_bad_matrix(matrix, match):
+    with pytest.raises(ValueError, match=match):
+        OrthoFrame(matrix)
+
+
+def test_ortho_frame_columns_are_the_matrix():
+    fr = random_frame(np.random.default_rng(4))
+    assert np.array_equal(np.column_stack([fr.a, fr.b, fr.c, fr.d, fr.e]), fr.matrix)
+    with pytest.raises(ValueError):
+        fr.matrix[0, 0] = 1.0
+
+
 def test_frame_rejects_non_orthogonal_input():
     with pytest.raises(ValueError):
         frame_from_abcd(*(np_rng.standard_normal((4, 5))))
@@ -180,6 +201,33 @@ def test_frame_with_e_rejects_wrong_shape(e):
         frame_with_e(e, np.random.default_rng(0))
 
 
+def test_frame_with_e_returns_the_given_e():
+    # the first entry is negative: a sign-fixed completion would flip e
+    e = np.array([-0.3, 0.2, 0.1, -0.2, math.sqrt(0.25 - 0.18)])
+    for seed in range(4):
+        assert np.array_equal(frame_with_e(e, np.random.default_rng(seed)).e, e)
+
+
+_E = np.ones(5) / (2 * math.sqrt(5))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: predicted_signature_623([np.nan, 0, 0, 0, 0.5]), "finite"),
+    (lambda: predicted_signature_623([0.5, 0, 0]), "5 components"),
+    (lambda: predicted_signature_623([0.5, 0, 0, 0, np.inf]), "finite"),
+    (lambda: lambda_star_sq_623([1, 2, 3]), "5 components"),
+    (lambda: lambda_star_sq_623([1.0, 0, 0, 0, 0]), "squared norm 1/4"),
+    (lambda: lambda_star_sq_623([np.nan] * 5), "finite"),
+    (lambda: frame_with_e([np.inf, 0, 0, 0, 0], np.random.default_rng(0)), "finite"),
+    (lambda: predicted_signature_623(_E, enumerate_error_basis(5, 3)), "n=5"),
+    (lambda: predicted_signature_623(_E, enumerate_error_basis(6, 2)), "d=2"),
+], ids=["nan", "short", "inf", "lambda-short", "lambda-norm", "lambda-nan",
+        "frame-inf", "basis-n5", "basis-d2"])
+def test_completion_vector_and_basis_checked(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_predicted_signature_structure():
     # e along the last axis: only Z-type pairs touching qubit 2 survive, each 1/2
     e = np.array([0, 0, 0, 0, 0.5])
@@ -206,6 +254,21 @@ def test_predicted_signature_component_formula():
     assert abs(sig.component("IXXIII") - (-2 * e[idx(2)] * e[idx(3)])) <= 1e-14
     assert abs(sig.component("IZIZII") - (2 * e[idx(2)] ** 2 + 2 * e[idx(4)] ** 2)) <= 1e-14
     assert abs(np.linalg.norm(sig.components) ** 2 - lambda_star_sq_623(e)) <= 1e-12
+
+
+@settings(database=None, derandomize=True, max_examples=25, deadline=None)
+@given(st.lists(st.floats(-1, 1), min_size=5, max_size=5), st.integers(0, 2 ** 32 - 1))
+def test_frame_with_e_property(raw, seed):
+    raw = np.array(raw)
+    norm = np.linalg.norm(raw)
+    assume(norm >= 0.1)
+    e = raw / (2 * norm)
+    fr = frame_with_e(e, np.random.default_rng(seed))
+    assert np.array_equal(fr.e, e)
+    basis = enumerate_error_basis(6, 3)
+    sig = signature_vector(code_623(fr), basis)
+    assert abs(lambda_star(sig) ** 2 - lambda_star_sq_623(e)) <= 1e-9
+    assert np.abs(sig.components - predicted_signature_623(e, basis).components).max() <= 1e-9
 
 
 def test_block_eigenvalues():
@@ -291,6 +354,14 @@ def test_so4_correspondences():
             rep = so4_check(fr, gen, theta)
             assert rep.projector_deviation <= 1e-10, (gen, theta)
             assert rep.state_deviation <= 1e-10, (gen, theta)
+
+
+@pytest.mark.parametrize("name", sorted(SO4_GENERATORS))
+def test_so4_generators_square_to_minus_identity(name):
+    # so4_check's closed form exp(t K) = cos t I + sin t K rests on this
+    K = SO4_GENERATORS[name]
+    assert np.array_equal(K @ K, -np.eye(4))
+    assert np.array_equal(K.T, -K)
 
 
 def test_so4_unknown_generator():
