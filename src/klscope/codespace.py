@@ -5,6 +5,11 @@ A code is a K-dimensional subspace of an n-qubit Hilbert space, held as a
 <psi_i|O_a|psi_j>, the scalar KL violation, the signature vector of
 deduplicated real coefficients, its norm lambda*, reduced density matrices,
 purities, and local-unitary images.
+
+The KL tensor comes from one contraction, ``kl_block``: the code is gathered
+into one block per (d-1)-qubit subset, one batched matmul forms the subsets'
+Gram blocks, and the error basis's MarginalKernel reads the values off them.
+``kl_adjoint`` is the same map transposed, for gradients.
 """
 
 import json
@@ -14,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import ErrorBasis
+from .pauli import ErrorBasis, subset_index
 
 DEFAULT_KL_TOL = 1e-10
 
@@ -32,7 +37,7 @@ class NotACodeError(ValueError):
         self.tol = tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSubspace:
     n: int
     K: int
@@ -82,13 +87,13 @@ def new_code(n, vectors):
     return CodeSubspace(n=n, K=rank, basis=q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KLTensor:
     basis: ErrorBasis
     values: np.ndarray  # (n_ops, K, K)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignatureVector:
     basis: ErrorBasis
     components: np.ndarray  # (n_ops,) real
@@ -101,17 +106,28 @@ class SignatureVector:
         return self.components[self.basis.index_of[str(word)]]
 
 
-def kl_block(psi, action):
-    """Apply stacked operators to an isometry and contract with it.
+def kl_block(psi, kernel):
+    """(Y, values) for an isometry psi (dim x K) and a MarginalKernel: Y are
+    psi's subset blocks, shape (S, R, D * K), and values[a, i, j] =
+    <psi_i|O_a|psi_j> is read off the blocks' Grams, one batched matmul."""
+    S, R, D = kernel.index.shape
+    K = psi.shape[1]
+    Y = np.take(psi, kernel.index, axis=0).reshape(S, R, D * K)
+    gram = np.matmul(Y.conj().transpose(0, 2, 1), Y)
+    gram = gram.reshape(S, D, K, D, K).transpose(0, 1, 3, 2, 4).reshape(S * D * D, K * K)
+    values = np.matmul(kernel.coef[:, None, :], np.take(gram, kernel.cols, axis=0))
+    return Y, values.reshape(-1, K, K)
 
-    ``action`` is an (n_ops * dim, dim) sparse or dense stack of operators,
-    as in ``ErrorBasis.action``.  Returns (ops_psi, values) with
-    ops_psi[a] = O_a psi, shape (n_ops, dim, K), and
-    values[a, i, j] = <psi_i|O_a|psi_j>, shape (n_ops, K, K).
-    """
-    dim, K = psi.shape
-    ops_psi = (action @ psi).reshape(-1, dim, K)
-    return ops_psi, np.matmul(psi.conj().T, ops_psi)
+
+def kl_adjoint(Y, M, kernel):
+    """sum_a O_a psi M_a for Y = kl_block(psi, kernel)[0] and (n_ops, K, K)
+    M: the transposed read-off, one batched matmul, the inverse gather."""
+    S, R, D = kernel.index.shape
+    K = M.shape[1]
+    M = M.reshape(-1, K * K)
+    blocks = np.matmul(kernel.coef_t[:, None, :], np.take(M, kernel.cols_t, axis=0))
+    blocks = blocks.reshape(S, D, D, K, K).transpose(0, 2, 3, 1, 4).reshape(S, D * K, D * K)
+    return np.take(np.matmul(Y, blocks).reshape(-1, K), kernel.inverse, axis=0).sum(0)
 
 
 def kl_residual(values):
@@ -134,8 +150,7 @@ def kl_tensor(code, basis):
     """KL tensor values[a, i, j] = <psi_i|O_a|psi_j> over the error basis."""
     if basis.n != code.n:
         raise ValueError(f"basis on {basis.n} qubits, code on {code.n}")
-    _, values = kl_block(code.basis, basis.action)
-    return KLTensor(basis=basis, values=values)
+    return KLTensor(basis=basis, values=kl_block(code.basis, basis.action)[1])
 
 
 def kl_violation(code, basis):
@@ -171,11 +186,8 @@ def reduced_density_matrix(code, codeword, qubits):
         raise ValueError(f"qubit subset must be nonempty and proper, got {qubits}")
     if qubits[0] < 1 or qubits[-1] > code.n:
         raise ValueError(f"qubit indices out of range 1..{code.n}: {qubits}")
-    psi = code.basis[:, codeword].reshape((2,) * code.n)
-    keep = [q - 1 for q in qubits]
-    rest = [ax for ax in range(code.n) if ax not in keep]
-    m = psi.transpose(keep + rest).reshape(2 ** len(keep), -1)
-    return m @ m.conj().T
+    m = code.basis[subset_index(code.n, [[q - 1 for q in qubits]])[0], codeword]
+    return m.T @ m.conj()
 
 
 def purity(rho):

@@ -21,7 +21,7 @@ import numpy as np
 MAX_ENUMERATOR_QUBITS = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightEnumerator:
     n: int
     A: np.ndarray  # length n+1, A[0] = 1
@@ -104,22 +104,3 @@ def enumerator_to_csv(we):
     for j in range(we.n + 1):
         lines.append(f"{j},{float(we.A[j])!r},{float(we.B[j])!r}")
     return "\n".join(lines) + "\n"
-
-
-def polynomial_text(we):
-    """Human-readable A(z), B(z) polynomials."""
-
-    def poly(coeffs):
-        terms = []
-        for j, cj in enumerate(coeffs):
-            if abs(cj) < 1e-12:
-                continue
-            term = f"{cj:.6g}"
-            if j == 1:
-                term += " z"
-            elif j > 1:
-                term += f" z^{j}"
-            terms.append(term)
-        return " + ".join(terms) if terms else "0"
-
-    return f"A(z) = {poly(we.A)}\nB(z) = {poly(we.B)}"

@@ -62,7 +62,7 @@ def s_basis_623():
     return states
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthoFrame:
     """The 5x5 matrix A = [a b c d e] with A A^T = I/4 (2A orthogonal)."""
 
@@ -203,7 +203,7 @@ def block_eigenvalues(r, s):
     return np.array([1 - s, 1 - s, 1 - s, (2 + 3 * s + root) / 2, (2 + 3 * s - root) / 2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogicalOverlaps:
     """Spinor overlap matrices M^{xx}, M^{xy}, M^{yx}, M^{yy} of a frame."""
 
@@ -456,7 +456,7 @@ def cyclic_code_723(coeffs):
 # residual bookkeeping for the cyclic coefficient elimination
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EliminationReport:
     constraint_residuals: np.ndarray  # the four coefficient constraints
     difference_residual: float        # 4 sqrt(3) c1 c4 + 4 c2 c3 + 3 c3^2

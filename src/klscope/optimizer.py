@@ -3,8 +3,10 @@
 Candidate bases are parameterized by the polar map f(theta) =
 theta (theta^dag theta)^{-1/2}; the losses combine the KL residual with a
 penalty weight mu and a length objective (minimize, maximize, hit a target
-length, or hit a target vector).  Gradients are analytic: the chain rule
-runs through the eigendecomposition of the K x K Gram matrix.  Each restart
+length, or hit a target vector).  Gradients are analytic: the KL values
+back-propagate through ``codespace.kl_adjoint`` (the transposed subset
+read-off of ``kl_block``), and the chain rule runs through the
+eigendecomposition of the K x K Gram matrix.  Each restart
 descends with L-BFGS (gradient-only quasi-Newton) in three stages of
 penalty weight MU_STAGES = (1, 1e3, 1e6) x mu, each run to the gradient
 tolerance GRAD_TOL = 1e-9, so converged points meet the KL tolerance instead
@@ -20,12 +22,13 @@ import scipy.optimize
 
 from .codespace import (
     CodeSubspace,
+    kl_adjoint,
     kl_block,
     kl_residual,
     kl_violation as codespace_kl_violation,
     signature_vector,
 )
-from .pauli import ErrorBasis
+from .pauli import ErrorBasis, MarginalKernel
 
 LOSS_KINDS = ("kl_only", "minimize_length", "maximize_length", "target_length", "target_vector")
 
@@ -42,7 +45,7 @@ class ConditioningError(ValueError):
     """theta is too close to singular for the polar map."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossSpec:
     kind: str
     mu: float = 1000.0
@@ -116,7 +119,7 @@ class OptimizationResult:
 
 
 def _stacked_action(ops):
-    """(n_ops * dim, dim) operator stack of an ErrorBasis or of Hermitian matrices."""
+    """MarginalKernel of an ErrorBasis or of Hermitian matrices."""
     if isinstance(ops, ErrorBasis):
         return ops.action
     mats = np.stack([np.asarray(op, dtype=complex) for op in ops])
@@ -125,7 +128,7 @@ def _stacked_action(ops):
     herm_dev = np.abs(mats - mats.conj().transpose(0, 2, 1)).max()
     if herm_dev > 1e-12:
         raise ValueError(f"operators must be Hermitian (deviation {herm_dev:.2e})")
-    return mats.reshape(-1, mats.shape[2])
+    return MarginalKernel.of_matrices(mats)
 
 
 def _polar(theta):
@@ -171,7 +174,7 @@ def _evaluate(theta, action, spec, mu, want_grad):
     """Loss (and gradient, KL residual, length^2) at theta."""
     psi, R, U, s = _polar(theta)
     K = psi.shape[1]
-    ops_psi, A = kl_block(psi, action)
+    Y, A = kl_block(psi, action)
     kl, mean, spread = kl_residual(A)
     length_sq = float(mean @ mean)
 
@@ -191,7 +194,7 @@ def _evaluate(theta, action, spec, mu, want_grad):
     M *= mu_eff
     M[:, idx, idx] = 2 * mu_eff * spread + 2 * g[:, None]
 
-    g_psi = np.einsum("adk,akl->dl", ops_psi, M, optimize=True)
+    g_psi = kl_adjoint(Y, M, action)
     T = theta.conj().T @ g_psi
     denom = -(s[:, None] * s[None, :]) * (s[:, None] + s[None, :])
     T_tilde = U.conj().T @ T @ U
@@ -362,7 +365,7 @@ def jnr_feasibility(operators, K, config=None, residual_tol=1e-9, dedup_tol=1e-6
     action = _stacked_action(operators)
     spec = LossSpec(kind="kl_only", mu=1.0)
     points = []
-    for summary, _, vals in _restarts(action.shape[1], K, action, spec, cfg):
+    for summary, _, vals in _restarts(action.inverse.shape[1], K, action, spec, cfg):
         if summary.kl_violation <= residual_tol:
             for p in points:
                 if np.abs(vals - np.asarray(p["values"])).max() <= dedup_tol:

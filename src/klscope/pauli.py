@@ -4,15 +4,17 @@ Pauli words are stored as plain letter strings over ``IXYZ`` with qubit 1 as
 the leftmost letter (and the most significant bit of computational-basis
 indices).  Products track their scalar phase exactly as a power of i, never
 as a float.
+
+``ErrorBasis.action`` is the basis as a MarginalKernel: a word of weight < d
+lies on a (d-1)-qubit subset S, so <psi_i|O|psi_j> is a linear read-off of
+S's Gram block, the subset-marginal form of Rains' weight enumerators.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse
 
 PAULI_LETTERS = "IXYZ"
 
@@ -187,34 +189,102 @@ class ErrorBasis:
 
     @cached_property
     def action(self):
-        """All words stacked as one CSR matrix of shape (n_ops * 2^n, 2^n).
+        """The basis as a MarginalKernel on its (d-1)-qubit subsets.  On its
+        subset a word is a signed permutation: row u has one entry, at column
+        u ^ x for x its restricted x pattern."""
+        letters = np.frombuffer("".join(op.letters for op in self.ops).encode(), np.uint8)
+        letters = letters.reshape(len(self.ops), self.n)
+        x, z = np.isin(letters, list(b"XY")), np.isin(letters, list(b"YZ"))
+        subsets, index, sub = _subset_blocks(self.n, (x | z) @ _place(self.n))
+        on_sub, k = (np.arange(len(self.ops))[:, None], subsets[sub]), subsets.shape[1]
+        u = np.arange(2 ** k)
+        v = u ^ (x[on_sub] @ _place(k))[:, None]
+        odd = np.bitwise_count(v & (z[on_sub] @ _place(k))[:, None]) & 1
+        phase = np.array(PHASES)[(letters == ord("Y")).sum(1) % 4]
+        return MarginalKernel(index, (sub[:, None] << 2 * k) + (u << k) + v,
+                              phase[:, None] * np.where(odd, -1.0, 1.0))
 
-        Row a * 2^n + y holds row y of word a's matrix, so ``action @ v``
-        reshaped to (n_ops, 2^n, ...) gives O_a v for every word.  Each row has
-        one entry: (O_a v)[y] = amp[perm[y]] v[perm[y]] for (perm, amp) =
-        pauli_action(O_a).
-        """
-        dim = 2 ** self.n
-        rows = len(self.ops) * dim
-        # index arrays in the dtype scipy keeps, so construction copies nothing
-        index = np.int32 if rows < 2 ** 31 else np.int64
-        perms = np.empty((len(self.ops), dim), dtype=index)
-        amps = np.empty((len(self.ops), dim), dtype=complex)
-        for k, op in enumerate(self.ops):
-            perm, amp = pauli_action(op)
-            perms[k] = perm
-            amps[k] = amp[perm]
-        action = scipy.sparse.csr_matrix(
-            (amps.ravel(), perms.ravel(), np.arange(rows + 1, dtype=index)),
-            shape=(rows, dim),
-        )
-        for arr in (action.data, action.indices, action.indptr):
+
+def _place(n):
+    """Bit value of each of n qubits in a basis index."""
+    return 1 << np.arange(n - 1, -1, -1)
+
+
+def _subset_blocks(n, support):
+    """For operators with these support bit masks: the (S, k) subsets of k
+    qubits (k the largest support) in combination order, their subset_index,
+    and for each operator the first subset that holds its support."""
+    k = int(np.bitwise_count(support).max())
+    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    outside = _place(n).sum() - _place(n)[subsets].sum(1)
+    return subsets, subset_index(n, subsets), ((support[:, None] & outside) != 0).argmin(1)
+
+
+def subset_index(n, subsets):
+    """Basis-state indices of shape (S, 2^(n-k), 2^k) for (S, k) subsets of
+    ascending 0-based qubits: entry [s, r, u] has subset s in state u and the
+    other qubits in state r, each in qubit order."""
+    subsets = np.asarray(subsets, dtype=np.intp)
+    rest = np.array([[q for q in range(n) if q not in s] for s in subsets.tolist()], dtype=np.intp)
+
+    def states(sites):  # (S, m) qubits -> (S, 2^m) basis indices of their joint states
+        bits = (np.arange(2 ** sites.shape[1])[:, None] & _place(sites.shape[1])) != 0
+        return _place(n)[sites] @ bits.T
+
+    return states(rest.reshape(len(subsets), -1))[:, :, None] + states(subsets)[:, None, :]
+
+
+class MarginalKernel:
+    """Operator values <psi_i|O_a|psi_j> read off subset Gram blocks.
+
+    ``index`` (S, R, D) gathers a dim x K isometry psi to one block
+    psi[index[s]] per subset; operator a's values are
+    sum_w coef[a, w] G[cols[a, w]], for G the blocks' Grams as rows (s, u, v)
+    of K x K blocks.  ``inverse`` undoes the gather, and (cols_t, coef_t) are
+    the read-off by column, padded with zero coefficients.
+    """
+
+    def __init__(self, index, cols, coef):
+        S, R, D = index.shape
+        self.index, self.cols, self.coef = index, cols, np.asarray(coef, dtype=complex)
+        self.inverse = np.empty((S, R * D), dtype=np.intp)
+        flat_position = np.arange(S * R * D).reshape(S, -1)
+        self.inverse[np.arange(S)[:, None], index.reshape(S, -1)] = flat_position
+        flat = cols.ravel()
+        order = np.argsort(flat, kind="stable")
+        counts = np.bincount(flat, minlength=S * D * D)
+        slot = np.arange(flat.size) - (np.cumsum(counts) - counts)[flat[order]]
+        self.cols_t = np.zeros((counts.size, counts.max()), dtype=np.intp)
+        self.coef_t = np.zeros(self.cols_t.shape, dtype=complex)
+        self.cols_t[flat[order], slot] = order // cols.shape[1]
+        self.coef_t[flat[order], slot] = self.coef.ravel()[order]
+        for arr in vars(self).values():
             arr.setflags(write=False)
-        return action
+
+    @classmethod
+    def of_matrices(cls, mats):
+        """Kernel of (n_ops, dim, dim) dense operators.  For dim = 2^n each is
+        read from its nonzero entries on the first k-qubit subset that holds
+        its support (k the largest support), so a Pauli word gets the row
+        ErrorBasis.action builds.  Any other dim is one subset."""
+        n_ops, dim, _ = mats.shape
+        n = dim.bit_length() - 1
+        index, sub = np.arange(dim).reshape(1, 1, dim), np.zeros(n_ops, dtype=np.intp)
+        if 2 ** n == dim:
+            acts = np.array([_acts_on(mats, n, q) for q in range(n)], dtype=bool).reshape(n, n_ops)
+            _, index, sub = _subset_blocks(n, acts.T @ _place(n))
+        corner = index[sub, 0]
+        rows = mats[np.arange(n_ops)[:, None, None], corner[:, :, None], corner[:, None, :]]
+        rows = rows.reshape(n_ops, -1)
+        order = np.argsort(rows == 0, axis=1, kind="stable")
+        order = order[:, : max(np.count_nonzero(rows, axis=1).max(), 1)]
+        return cls(index, sub[:, None] * rows.shape[1] + order, np.take_along_axis(rows, order, 1))
 
 
-def expected_error_basis_size(n, d):
-    return sum(math.comb(n, w) * 3 ** w for w in range(1, d))
+def _acts_on(mats, n, q):
+    """Per operator: not exactly the identity on qubit q (0-based)."""
+    t = mats.reshape(len(mats), 2 ** q, 2, 2 ** (n - q - 1), 2 ** q, 2, 2 ** (n - q - 1))
+    return (t != np.eye(2).reshape(2, 1, 1, 2, 1) * t[:, :, :1, :, :, :1]).any((1, 2, 3, 4, 5, 6))
 
 
 @lru_cache(maxsize=None)
@@ -242,11 +312,7 @@ def enumerate_error_basis(n, d):
                 words.append("".join(word))
         words.sort()
         ops.extend(PauliString(w_) for w_ in words)
-    basis = ErrorBasis(n=n, d=d, ops=tuple(ops))
-    if len(basis) != expected_error_basis_size(n, d):
-        raise ValueError(f"error basis has {len(basis)} words, expected "
-                         f"{expected_error_basis_size(n, d)}")
-    return basis
+    return ErrorBasis(n=n, d=d, ops=tuple(ops))
 
 
 def pauli_action(p):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from klscope.codespace import (
     CodeSubspace,
@@ -7,6 +9,8 @@ from klscope.codespace import (
     apply_local_unitary,
     code_from_json,
     code_to_json,
+    kl_adjoint,
+    kl_block,
     kl_tensor,
     kl_violation,
     lambda_star,
@@ -16,7 +20,13 @@ from klscope.codespace import (
     signature_to_csv,
     signature_vector,
 )
-from klscope.pauli import dense_matrix, enumerate_error_basis, pauli_from_string
+from klscope.optimizer import LossSpec, gradient, loss
+from klscope.pauli import (
+    MarginalKernel,
+    dense_matrix,
+    enumerate_error_basis,
+    pauli_from_string,
+)
 from klscope.stabilizer import builtin, codespace_from_stabilizer
 
 np_rng = np.random.default_rng(7041)
@@ -112,6 +122,57 @@ def test_kl_tensor_matches_dense_reference():
             B = code.basis
             reference = np.stack([B.conj().T @ dense_matrix(op) @ B for op in basis])
             assert np.abs(kl_tensor(code, basis).values - reference).max() <= 1e-12
+
+
+_KERNEL_CASES = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(2, n + 1), st.integers(1, min(3, 2 ** n))))
+
+
+@settings(database=None, derandomize=True, max_examples=30, deadline=None)
+@given(_KERNEL_CASES, st.integers(0, 2 ** 32 - 1))
+@example((4, 4, 2), 0)
+@example((3, 4, 3), 1)
+@example((5, 6, 2), 2)
+def test_kernel_values_and_gradient_property(case, seed):
+    n, d, K = case
+    rng = np.random.default_rng(seed)
+    basis = enumerate_error_basis(n, d)
+    theta = rng.standard_normal((2 ** n, K)) + 1j * rng.standard_normal((2 ** n, K))
+    code = new_code(n, theta.T)
+    B = code.basis
+    reference = np.stack([B.conj().T @ dense_matrix(op) @ B for op in basis])
+    assert np.abs(kl_tensor(code, basis).values - reference).max() <= 1e-12
+    spec = LossSpec("maximize_length", mu=10.0)
+    delta = rng.standard_normal(theta.shape) + 1j * rng.standard_normal(theta.shape)
+    h = 1e-5
+    analytic = float(np.real(np.vdot(gradient(theta, basis, spec), delta)))
+    fd = (loss(theta + h * delta, basis, spec) - loss(theta - h * delta, basis, spec)) / (2 * h)
+    # at d = n + 1 the loss is constant and fd is the round-off of the difference
+    assert abs(analytic - fd) <= 1e-6 * abs(fd) + 1e-14 * abs(loss(theta, basis, spec)) / h
+
+
+def test_dense_kernel_matches_direct_contraction():
+    # local operators on three qubits, a scalar, and spaces of dimension 3 and 1
+    A = haar_unitary(2) @ np.diag([1.0, -0.5]) @ haar_unitary(2).conj().T
+    H = haar_unitary(4) @ np.diag([1.0, 2.0, -1.0, 0.0]) @ haar_unitary(4).conj().T
+    I2 = np.eye(2)
+    cases = [
+        [np.kron(np.kron(I2, A), I2), np.kron(H, I2), np.kron(I2, H), 2.0 * np.eye(8)],
+        [np.diag([1.0, 2.0, 3.0]), np.array([[0, 1, 0], [1, 0, 1j], [0, -1j, 0]])],
+        [np.array([[1.5]]), np.zeros((1, 1))],
+    ]
+    for mats in cases:
+        mats = np.array(mats, dtype=complex)
+        kernel = MarginalKernel.of_matrices(mats)
+        K = min(2, mats.shape[1])
+        psi = haar_unitary(mats.shape[1])[:, :K]
+        shape = (len(mats), K, K)
+        M = np_rng.standard_normal(shape) + 1j * np_rng.standard_normal(shape)
+        Y, values = kl_block(psi, kernel)
+        assert np.abs(values - psi.conj().T @ mats @ psi).max() <= 1e-12
+        assert np.abs(kl_adjoint(Y, M, kernel) - (mats @ psi @ M).sum(0)).max() <= 1e-12
+    # the three-qubit operators act on at most two qubits: pairs, not one 8-dim block
+    assert MarginalKernel.of_matrices(np.array(cases[0], dtype=complex)).index.shape == (3, 2, 4)
 
 
 def test_kl_violation_stabilizer_codes_at_round_off():

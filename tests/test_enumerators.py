@@ -10,7 +10,6 @@ from klscope.enumerators import (
     closed_form_723,
     enumerator_to_csv,
     lambda_star_sq_from_enumerator,
-    polynomial_text,
     weight_enumerators,
 )
 from klscope.families import (
@@ -163,13 +162,10 @@ def test_random_ten_qubit_sums():
     assert abs(we.B.sum() - 2 ** n * K) <= 1e-9
 
 
-def test_csv_and_polynomial_text():
+def test_enumerator_csv():
     we = weight_enumerators(codespace_from_stabilizer(builtin("steane")))
     text = enumerator_to_csv(we)
     lines = text.strip().splitlines()
     assert lines[0] == "j,A_j,B_j"
     assert len(lines) == 9
     assert float(lines[5].split(",")[1]) == pytest.approx(21.0, abs=1e-9)  # A_4
-    poly = polynomial_text(we)
-    assert poly.startswith("A(z) = 1")
-    assert "z^4" in poly

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,31 @@ np_rng = np.random.default_rng(314159)
 
 def random_theta(m, K):
     return np_rng.standard_normal((m, K)) + 1j * np_rng.standard_normal((m, K))
+
+
+_THREAD_CHECK = """
+import hashlib
+from klscope.optimizer import LossSpec, OptimizerConfig, optimize
+from klscope.pauli import enumerate_error_basis
+res = optimize(7, 2, enumerate_error_basis(7, 3), LossSpec("maximize_length"),
+               OptimizerConfig(seed=7, restarts=2, max_iters=200))
+print(hashlib.sha256(res.code.basis.tobytes()).hexdigest())
+print(repr(res.restart_summaries))
+"""
+
+
+def test_search_is_blas_thread_invariant():
+    # the same search, run with one and with two BLAS threads, gives the same bytes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _THREAD_CHECK], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_stiefel_map_fixes_isometry():
