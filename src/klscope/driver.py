@@ -76,7 +76,10 @@ def sweep(n, K, d, grid, mu=1000.0, config=None, done=None, on_row=None):
     the converged point computed earlier in this call whose achieved lambda*^2
     is nearest its target (lambda*^2 moves continuously along the code
     families); that start takes the first of the ``config.restarts`` slots and
-    the random restarts follow.  ``done`` supplies already-completed rows (for
+    the random restarts follow until ``stop_on_loss`` is reached or they
+    settle (see ``optimize``), so an infeasible point with a converged
+    neighbour uses 1 + SETTLE_RESTARTS restarts, not the whole budget.
+    ``done`` supplies already-completed rows (for
     resume); they carry no code, so a resumed sweep starts cold until its
     first newly converged point.  ``on_row`` is called after each newly
     computed point, in grid order.
@@ -352,6 +355,7 @@ def _cmd_optimize(args):
         "final_loss": result.final_loss,
         "iterations": result.iterations,
         "restarts_used": result.restarts_used,
+        "stop_reason": result.stop_reason,
         "converged": result.converged,
         "wall_time_ms": result.wall_time_ms,
         "code": json.loads(code_to_json(result.code)),

@@ -34,6 +34,8 @@ LOSS_KINDS = ("kl_only", "minimize_length", "maximize_length", "target_length", 
 
 # relative size of the perturbation a warm start descends from
 WARM_START_NOISE = 1e-3
+# consecutive settled restarts after a warm one that end a warm-started search
+SETTLE_RESTARTS = 2
 
 # penalty weights of the escalation stages, in units of LossSpec.mu
 MU_STAGES = (1.0, 1e3, 1e6)
@@ -105,7 +107,9 @@ class RestartSummary:
 @dataclass
 class OptimizationResult:
     """Best restart of a search.  ``converged``: its KL residual is at most
-    ``kl_tol`` (a code was found), whatever the length objective reached."""
+    ``kl_tol`` (a code was found), whatever the length objective reached.
+    ``stop_reason``: "target" (``stop_on_loss`` reached), "settled" (see
+    ``optimize``) or "budget" (neither; every restart ran)."""
 
     code: CodeSubspace
     kl_violation: float
@@ -115,6 +119,7 @@ class OptimizationResult:
     restarts_used: int
     converged: bool
     wall_time_ms: int
+    stop_reason: str
     restart_summaries: list = field(default_factory=list)
 
 
@@ -297,6 +302,15 @@ def _restarts(m, K, action, spec, cfg, start=None):
         yield _run_restart(r, seq, m, K, action, spec, cfg, start if r == 0 else None)
 
 
+def _best(outcomes):
+    """The best outcome by loss; within 1e-12 of it, the smallest KL residual."""
+    best = min(outcomes, key=lambda o: (o[0].final_loss, o[0].kl_violation))
+    for o in outcomes:
+        if o[0].final_loss <= best[0].final_loss + 1e-12 and o[0].kl_violation < best[0].kl_violation:
+            best = o
+    return best
+
+
 def optimize(n, K, ops, spec, config=None, *, start=None):
     """Multi-restart search; returns the best restart by loss (ties by KL).
 
@@ -307,6 +321,13 @@ def optimize(n, K, ops, spec, config=None, *, start=None):
     points of the length, and a descent started exactly on one stays there.
     The other restarts are the random ones of the same seed, so the budget
     stays ``config.restarts``.
+
+    A warm-started search also stops once it has settled: SETTLE_RESTARTS
+    restarts in a row after the warm one end KL-exact (residual <= kl_tol)
+    without lowering the best loss by more than ``spec.mu * kl_tol``, and the
+    best restart is KL-exact.  An infeasible target, where ``stop_on_loss``
+    is out of reach, then costs 1 + SETTLE_RESTARTS restarts, not the whole
+    budget.  Cold searches run until ``stop_on_loss`` or the budget.
     """
     cfg = config or OptimizerConfig()
     action = _stacked_action(ops)
@@ -317,16 +338,23 @@ def optimize(n, K, ops, spec, config=None, *, start=None):
             raise ValueError(f"start has shape {start.shape}, expected {(m, K)}")
     t0 = time.perf_counter()
     outcomes = []
+    settled = 0  # consecutive settled restarts after the warm one
+    stop_reason = "budget"
     for outcome in _restarts(m, K, action, spec, cfg, start):
+        summary = outcome[0]
+        if start is not None and outcomes:
+            floor = _best(outcomes)[0].final_loss - spec.mu * cfg.kl_tol
+            exact = summary.kl_violation <= cfg.kl_tol
+            settled = settled + 1 if exact and summary.final_loss >= floor else 0
         outcomes.append(outcome)
-        if cfg.stop_on_loss is not None and outcome[0].final_loss <= cfg.stop_on_loss:
+        if cfg.stop_on_loss is not None and summary.final_loss <= cfg.stop_on_loss:
+            stop_reason = "target"
+            break
+        if settled >= SETTLE_RESTARTS and _best(outcomes)[0].kl_violation <= cfg.kl_tol:
+            stop_reason = "settled"
             break
 
-    best, theta, _ = min(outcomes, key=lambda o: (o[0].final_loss, o[0].kl_violation))
-    for o in outcomes:
-        if o[0].final_loss <= best.final_loss + 1e-12 and o[0].kl_violation < best.kl_violation:
-            best, theta, _ = o
-
+    best, theta, _ = _best(outcomes)
     code = stiefel_map(theta)
     lam = float(np.sqrt(max(best.lambda_sq, 0.0)))
     kl = best.kl_violation
@@ -344,6 +372,7 @@ def optimize(n, K, ops, spec, config=None, *, start=None):
         restarts_used=len(outcomes),
         converged=kl <= cfg.kl_tol,
         wall_time_ms=wall_ms,
+        stop_reason=stop_reason,
         restart_summaries=[o[0] for o in outcomes],
     )
 

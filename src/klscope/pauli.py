@@ -29,26 +29,6 @@ _PAULI_MATS = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# single-qubit product table: (p, q) -> (i exponent, resulting letter)
-_CYCLIC = {("X", "Y"): "Z", ("Y", "Z"): "X", ("Z", "X"): "Y"}
-
-
-def _single_product(p, q):
-    if p == "I":
-        return 0, q
-    if q == "I":
-        return 0, p
-    if p == q:
-        return 0, "I"
-    if (p, q) in _CYCLIC:
-        return 1, _CYCLIC[(p, q)]
-    return 3, _CYCLIC[(q, p)]
-
-
-_PRODUCT_TABLE = {
-    (p, q): _single_product(p, q) for p in PAULI_LETTERS for q in PAULI_LETTERS
-}
-
 MAX_DENSE_QUBITS = 12
 
 
@@ -144,17 +124,20 @@ def _as_phased(p):
 
 
 def multiply(p, q):
-    """Sitewise product of two (phased) Pauli words with exact phase tracking."""
+    """Sitewise product of two (phased) Pauli words with exact phase tracking.
+
+    A word is i^{#Y} X^x Z^z over its masks, and Z^z X^x = (-1)^{|z & x|} X^x Z^z,
+    so PQ = i^{#Y_P + #Y_Q - #Y_PQ} (-1)^{|z_P & x_Q|} X^{x_P ^ x_Q} Z^{z_P ^ z_Q}.
+    """
     p, q = _as_phased(p), _as_phased(q)
     if p.n != q.n:
         raise ValueError(f"length mismatch: {p.n} vs {q.n}")
-    k = p.phase_exp + q.phase_exp
-    out = []
-    for a, b in zip(p.word.letters, q.word.letters):
-        dk, c = _PRODUCT_TABLE[(a, b)]
-        k += dk
-        out.append(c)
-    return PhasedPauli(k % 4, PauliString("".join(out)))
+    a, b = p.word, q.word
+    x, z = a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask
+    k = (p.phase_exp + q.phase_exp + a.y_count + b.y_count - (x & z).bit_count()
+         + 2 * (a.z_mask & b.x_mask).bit_count())
+    letters = "".join("IXZY"[(x >> s & 1) + 2 * (z >> s & 1)] for s in reversed(range(a.n)))
+    return PhasedPauli(k % 4, PauliString(letters))
 
 
 def commutes(p, q):

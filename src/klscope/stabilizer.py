@@ -109,11 +109,6 @@ def _project(code, block):
     return block
 
 
-def stabilizer_projector(code):
-    """Dense product of (I + g)/2 over the generators."""
-    return _project(code, np.eye(2 ** code.n, dtype=complex))
-
-
 def codespace_from_stabilizer(code):
     """Orthonormal basis of the joint +1 eigenspace of the generators.
 

@@ -27,7 +27,7 @@ from klscope.driver import (
     sweep,
     verify_code,
 )
-from klscope.optimizer import OptimizerConfig
+from klscope.optimizer import SETTLE_RESTARTS, OptimizerConfig
 from klscope.pauli import enumerate_error_basis
 from klscope.stabilizer import BUILTIN_GENERATORS
 
@@ -73,6 +73,27 @@ def test_sweep_warm_starts_from_converged_neighbour():
     assert first.rows[1].restarts_used == 1  # started from the 0.70 code
     again = sweep(6, 2, 3, [0.70, 0.72], config=cfg)
     assert _without_wall_ms(again.rows) == _without_wall_ms(first.rows)
+
+
+def test_sweep_infeasible_point_settles():
+    cfg = OptimizerConfig(seed=1606, restarts=12, stop_on_loss=1e-12)
+    high = sweep(6, 2, 3, [0.70, 1.08], config=cfg).rows[1]
+    assert high.restarts_used == 1 + SETTLE_RESTARTS  # warm start and two that agree
+    assert abs(high.achieved_lambda_sq - 1.0) <= 1e-6
+    assert high.final_loss >= 1e-3
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_sweep_verdicts_hold_across_seeds(seed):
+    # criterion 6's verdicts on a coarse grid: stopping a point early must not
+    # cost a feasible point its hit
+    cfg = OptimizerConfig(seed=seed, restarts=12, stop_on_loss=1e-12)
+    for row in sweep(6, 2, 3, [0.52, 0.66, 0.80, 0.94, 1.08], config=cfg).rows:
+        if 0.6 <= row.target_lambda_sq <= 1.0:
+            assert row.final_loss <= 1e-8, row
+        else:
+            assert row.final_loss >= 1e-3, row
+            assert min(abs(row.achieved_lambda_sq - b) for b in (0.6, 1.0)) <= 1e-6, row
 
 
 def test_resumed_sweep_starts_cold():
@@ -261,6 +282,7 @@ def test_cli_optimize_with_config(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["format"] == "klscope.result/1"
     assert payload["converged"]
+    assert payload["stop_reason"] == "budget"  # no stop_on_loss, no warm start
     assert abs(payload["lambda_star"] - 1.0) <= 1e-6
     code = code_from_json(json.dumps(payload["code"]))
     assert kl_violation(code, enumerate_error_basis(2, 2)) <= 1e-10

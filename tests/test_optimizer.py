@@ -8,6 +8,7 @@ import pytest
 
 from klscope.codespace import kl_violation, lambda_star, signature_vector
 from klscope.optimizer import (
+    SETTLE_RESTARTS,
     ConditioningError,
     LossSpec,
     OptimizerConfig,
@@ -195,7 +196,7 @@ def test_warm_start_from_exact_code_hits_first():
     basis = enumerate_error_basis(7, 3)
     cfg = OptimizerConfig(seed=0, restarts=4, stop_on_loss=1e-12)
     res = optimize(7, 2, basis, LossSpec("kl_only", mu=1.0), cfg, start=steane.basis)
-    assert res.restarts_used == 1
+    assert res.restarts_used == 1 and res.stop_reason == "target"
     assert res.converged and res.kl_violation <= 1e-10
 
 
@@ -212,6 +213,20 @@ def test_warm_start_keeps_the_random_restarts():
     # the start takes slot 0; slots 1.. are the cold call's restarts
     assert warm.restart_summaries[1:] == plain.restart_summaries[1:]
     assert warm.restart_summaries[0] != plain.restart_summaries[0]
+
+
+def test_infeasible_target_cold_spends_budget_warm_settles():
+    # two-qubit K=1 codes span squared lengths [0, 2], so 2.5 is out of reach
+    basis = enumerate_error_basis(2, 2)
+    spec = LossSpec("target_length", mu=1000.0, target_length=2.5 ** 0.5)
+    cfg = OptimizerConfig(seed=3, restarts=5, stop_on_loss=1e-12)
+    cold = optimize(2, 1, basis, spec, cfg)
+    assert cold.restarts_used == 5 and cold.stop_reason == "budget"
+    warm = optimize(2, 1, basis, spec, cfg, start=cold.code.basis)
+    assert warm.restarts_used == 1 + SETTLE_RESTARTS and warm.stop_reason == "settled"
+    assert warm.converged and abs(warm.lambda_star ** 2 - 2.0) <= 1e-6
+    # the restarts it ran are the cold call's restarts of the same slots
+    assert warm.restart_summaries[1:] == cold.restart_summaries[1:1 + SETTLE_RESTARTS]
 
 
 def test_warm_start_validates_shape():

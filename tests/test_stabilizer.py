@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 
 from klscope.codespace import kl_violation, lambda_star, signature_vector
-from klscope.pauli import enumerate_error_basis
+from klscope.pauli import apply_pauli, enumerate_error_basis
 from klscope.stabilizer import (
     BUILTIN_GENERATORS,
     builtin,
     codespace_from_stabilizer,
     parse_generators,
-    stabilizer_projector,
 )
+
+
+def stabilizer_projector(code):
+    """Dense product of (I + g)/2 over the generators, the reference projector."""
+    proj = np.eye(2 ** code.n, dtype=complex)
+    for g in code.generators:
+        proj = (proj + g.phase.real * apply_pauli(g.word, proj)) / 2
+    return proj
 
 
 def test_builtin_tables():
