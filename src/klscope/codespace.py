@@ -88,12 +88,6 @@ def new_code(n, vectors):
 
 
 @dataclass(frozen=True, eq=False)
-class KLTensor:
-    basis: ErrorBasis
-    values: np.ndarray  # (n_ops, K, K)
-
-
-@dataclass(frozen=True, eq=False)
 class SignatureVector:
     basis: ErrorBasis
     components: np.ndarray  # (n_ops,) real
@@ -147,15 +141,16 @@ def kl_residual(values):
 
 
 def kl_tensor(code, basis):
-    """KL tensor values[a, i, j] = <psi_i|O_a|psi_j> over the error basis."""
+    """KL tensor, the (n_ops, K, K) array values[a, i, j] = <psi_i|O_a|psi_j>
+    over the error basis."""
     if basis.n != code.n:
         raise ValueError(f"basis on {basis.n} qubits, code on {code.n}")
-    return KLTensor(basis=basis, values=kl_block(code.basis, basis.action)[1])
+    return kl_block(code.basis, basis.action)[1]
 
 
 def kl_violation(code, basis):
     """Scalar KL residual: off-diagonal mass plus per-operator diagonal spread."""
-    return kl_residual(kl_tensor(code, basis).values)[0]
+    return kl_residual(kl_tensor(code, basis))[0]
 
 
 def signature_vector(code, basis, tol=DEFAULT_KL_TOL):
@@ -164,7 +159,7 @@ def signature_vector(code, basis, tol=DEFAULT_KL_TOL):
     Raises NotACodeError (carrying the violation) when the KL residual
     exceeds ``tol``.
     """
-    values = kl_tensor(code, basis).values
+    values = kl_tensor(code, basis)
     violation, mean, _ = kl_residual(values)
     if violation > tol:
         raise NotACodeError(violation, tol)

@@ -83,6 +83,10 @@ def sweep(n, K, d, grid, mu=1000.0, config=None, done=None, on_row=None):
     resume); they carry no code, so a resumed sweep starts cold until its
     first newly converged point.  ``on_row`` is called after each newly
     computed point, in grid order.
+
+    A cold point runs its restarts in forked workers, one per usable core,
+    which are gone when its search returns or raises; rows do not depend on
+    the core count.
     """
     grid = [float(t) for t in grid]
     if not grid:

@@ -11,10 +11,21 @@ descends with L-BFGS (gradient-only quasi-Newton) in three stages of
 penalty weight MU_STAGES = (1, 1e3, 1e6) x mu, each run to the gradient
 tolerance GRAD_TOL = 1e-9, so converged points meet the KL tolerance instead
 of the O(1/mu^2) single-stage penalty floor.
+
+The restarts of a cold search are independent, each drawn from its own
+SeedSequence child, so they run in forked worker processes, one per usable
+core (``os.sched_getaffinity``).  Their outcomes are consumed in seed order
+and every stop decision is taken on them in that order, so results are
+byte-identical for any core count; ``taskset -c 0`` runs them serially.
 """
 
+import ctypes
 import math
+import multiprocessing
+import os
+import signal
 import time
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,13 +304,88 @@ def _run_restart(seed_index, seq, m, K, action, spec, cfg, start=None):
     return summary, theta, aux["components"]
 
 
+def _usable_cores():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+_worker_action = None  # the MarginalKernel a pool worker runs its restarts with
+
+# name prefix and suffix of the thread-count calls of a system OpenBLAS and of
+# the builds numpy (64-bit integers) and scipy ship
+_OPENBLAS_NAMES = (("openblas", ""), ("openblas", "64_"),
+                   ("scipy_openblas", ""), ("scipy_openblas", "64_"))
+
+
+@contextmanager
+def _one_blas_thread():
+    """Every OpenBLAS loaded in this process at one thread inside the block.
+
+    Workers forked inside it inherit one thread each.  A fork stops OpenBLAS's
+    thread pool, and setting the count in the child would restart it: its
+    helpers then spin on the other workers' cores.
+    """
+    with open("/proc/self/maps") as fh:
+        paths = sorted({ln.split(None, 5)[5].strip() for ln in fh if "openblas" in ln})
+    saved = []
+    for lib in map(ctypes.CDLL, paths):
+        for prefix, suffix in _OPENBLAS_NAMES:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if get is not None:
+                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                saved.append((set_threads, get()))
+                break
+    for set_threads, _ in saved:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in saved:
+            set_threads(count)
+
+
+def _init_worker(action):
+    global _worker_action
+    _worker_action = action  # inherited through fork, not pickled
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+
+
+def _pooled_restart(task):
+    seed_index, seq, m, K, spec, cfg = task
+    return _run_restart(seed_index, seq, m, K, _worker_action, spec, cfg)
+
+
+@contextmanager
+def _restart_pool(action, workers):
+    """A pool of ``workers`` forked processes that run restarts with
+    ``action``.  Leaving the block terminates them, so it never waits for a
+    restart whose outcome is dropped and no worker outlives it, also on an
+    exception or Ctrl-C."""
+    fork = multiprocessing.get_context("fork")
+    with _one_blas_thread(), fork.Pool(workers, _init_worker, (action,)) as pool:
+        yield pool
+
+
 def _restarts(m, K, action, spec, cfg, start=None):
-    """The outcomes of ``cfg.restarts`` seeded restarts, in seed order;
-    ``start`` (if given) takes the first slot."""
+    """The outcomes of ``cfg.restarts`` seeded restarts, in seed order.
+
+    ``start`` (if given) takes the first slot, and the whole search then runs
+    in this process: it usually ends within 1 + SETTLE_RESTARTS restarts,
+    fewer than forked workers pay for.  A cold search runs in a pool of forked
+    workers, one per usable core, each taking the next restart as soon as it
+    is free.  Closing the generator drops the outcomes computed ahead of the
+    consumer and terminates the workers."""
     if not 1 <= K <= m:  # else every start is rank-deficient and the redraw never ends
         raise ValueError(f"need 1 <= K <= {m}, got {K}")
-    for r, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)):
-        yield _run_restart(r, seq, m, K, action, spec, cfg, start if r == 0 else None)
+    seeds = list(enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)))
+    workers = 1 if start is not None else min(_usable_cores(), len(seeds))
+    if workers < 2:
+        for r, seq in seeds:
+            yield _run_restart(r, seq, m, K, action, spec, cfg, start if r == 0 else None)
+        return
+    with _restart_pool(action, workers) as pool:
+        yield from pool.imap(_pooled_restart, [(r, seq, m, K, spec, cfg) for r, seq in seeds])
 
 
 def _best(outcomes):
@@ -328,6 +414,12 @@ def optimize(n, K, ops, spec, config=None, *, start=None):
     best restart is KL-exact.  An infeasible target, where ``stop_on_loss``
     is out of reach, then costs 1 + SETTLE_RESTARTS restarts, not the whole
     budget.  Cold searches run until ``stop_on_loss`` or the budget.
+
+    A cold search runs its restarts in forked workers, one per usable core; a
+    warm-started one runs in this process.  Outcomes are taken in seed order,
+    and those computed past a stop are dropped, so the result (restart
+    summaries and ``stop_reason`` included) is the same for any number of
+    cores.
     """
     cfg = config or OptimizerConfig()
     action = _stacked_action(ops)
@@ -340,19 +432,20 @@ def optimize(n, K, ops, spec, config=None, *, start=None):
     outcomes = []
     settled = 0  # consecutive settled restarts after the warm one
     stop_reason = "budget"
-    for outcome in _restarts(m, K, action, spec, cfg, start):
-        summary = outcome[0]
-        if start is not None and outcomes:
-            floor = _best(outcomes)[0].final_loss - spec.mu * cfg.kl_tol
-            exact = summary.kl_violation <= cfg.kl_tol
-            settled = settled + 1 if exact and summary.final_loss >= floor else 0
-        outcomes.append(outcome)
-        if cfg.stop_on_loss is not None and summary.final_loss <= cfg.stop_on_loss:
-            stop_reason = "target"
-            break
-        if settled >= SETTLE_RESTARTS and _best(outcomes)[0].kl_violation <= cfg.kl_tol:
-            stop_reason = "settled"
-            break
+    with closing(_restarts(m, K, action, spec, cfg, start)) as restarts:
+        for outcome in restarts:
+            summary = outcome[0]
+            if start is not None and outcomes:
+                floor = _best(outcomes)[0].final_loss - spec.mu * cfg.kl_tol
+                exact = summary.kl_violation <= cfg.kl_tol
+                settled = settled + 1 if exact and summary.final_loss >= floor else 0
+            outcomes.append(outcome)
+            if cfg.stop_on_loss is not None and summary.final_loss <= cfg.stop_on_loss:
+                stop_reason = "target"
+                break
+            if settled >= SETTLE_RESTARTS and _best(outcomes)[0].kl_violation <= cfg.kl_tol:
+                stop_reason = "settled"
+                break
 
     best, theta, _ = _best(outcomes)
     code = stiefel_map(theta)
@@ -389,6 +482,8 @@ def jnr_feasibility(operators, K, config=None, residual_tol=1e-9, dedup_tol=1e-6
 
     Runs multi-start KL-residual minimization for P A_i P = v_i P and returns
     the deduplicated value tuples found with residual at most ``residual_tol``.
+    The restarts run in forked workers, one per usable core, and are
+    deduplicated in seed order, so the points do not depend on the core count.
     """
     cfg = config or OptimizerConfig(restarts=200)
     action = _stacked_action(operators)

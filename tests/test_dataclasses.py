@@ -4,7 +4,7 @@ generated field-wise ``__eq__`` would compare arrays and raise."""
 import numpy as np
 import pytest
 
-from klscope.codespace import kl_tensor, new_code, signature_vector
+from klscope.codespace import new_code, signature_vector
 from klscope.enumerators import closed_form_723, weight_enumerators
 from klscope.families import (
     appendix_b_residuals,
@@ -26,7 +26,6 @@ def _values():
         "LogicalOverlaps": lambda: logical_overlaps(frame),
         "EliminationReport": lambda: appendix_b_residuals(cyclic_coeffs_from_lambda(1.0)),
         "CodeSubspace": lambda: new_code(1, [[1, 0]]),
-        "KLTensor": lambda: kl_tensor(steane, basis),
         "SignatureVector": lambda: signature_vector(steane, basis),
         "WeightEnumerator": lambda: weight_enumerators(steane),
         "WeightEnumerator (closed form)": lambda: closed_form_723(1.0),
