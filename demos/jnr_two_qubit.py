@@ -4,21 +4,19 @@
 # disconnected set, unlike the always-connected rank-1 case.
 import numpy as np
 
-import klscope as kl
 from klscope.optimizer import OptimizerConfig, jnr_feasibility
 
 
 def main():
     words = ("XI", "XZ", "YI", "YZ", "ZI")
-    ops = [kl.dense_matrix(kl.pauli_from_string(w)) for w in words]
 
-    points = jnr_feasibility(ops, K=2, config=OptimizerConfig(seed=0, restarts=60))
+    points = jnr_feasibility(words, K=2, config=OptimizerConfig(seed=0, restarts=60))
     print("rank-2 feasible tuples over 60 random starts:")
     for p in points:
         print(f"  {np.round(p.values, 9)}  residual {p.residual:.1e}  hits {p.hits}")
     print("  -> two isolated points; the rank-2 range is disconnected")
 
-    rank1 = jnr_feasibility([ops[-1]], K=1,
+    rank1 = jnr_feasibility([words[-1]], K=1,
                             config=OptimizerConfig(seed=1, restarts=40, max_iters=5))
     vals = sorted(p.values[0] for p in rank1)
     print(f"\nrank-1 range of ZI alone: {len(vals)} sampled values in "

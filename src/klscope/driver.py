@@ -33,7 +33,7 @@ from .enumerators import (
     weight_enumerators,
 )
 from .optimizer import LossSpec, OptimizerConfig, jnr_feasibility, optimize
-from .pauli import dense_matrix, enumerate_error_basis, pauli_from_string
+from .pauli import enumerate_error_basis
 from .stabilizer import builtin, codespace_from_stabilizer, parse_generators
 
 RESULT_JSON_FORMAT = "klscope.result/1"
@@ -423,10 +423,8 @@ def _cmd_jnr(args):
         words = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
     if not words:
         raise ValueError(f"operator file {args.operators!r} lists no Pauli words")
-    mats = [dense_matrix(pauli_from_string(w)) for w in words]
-    restarts = args.restarts if args.restarts is not None else 200
-    cfg = OptimizerConfig(seed=args.seed, restarts=restarts, max_iters=args.max_iters)
-    points = jnr_feasibility(mats, args.K, cfg)
+    cfg = OptimizerConfig(seed=args.seed, restarts=args.restarts, max_iters=args.max_iters)
+    points = jnr_feasibility(words, args.K, cfg)
     lines = [",".join(words) + ",residual,hits"]
     for p in points:
         lines.append(
@@ -506,7 +504,7 @@ def build_parser():
     p.add_argument("--operators", type=str, required=True,
                    help="file with one Pauli word per line")
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)

@@ -39,7 +39,7 @@ from .codespace import (
     kl_violation as codespace_kl_violation,
     signature_vector,
 )
-from .pauli import ErrorBasis, MarginalKernel
+from .pauli import ErrorBasis, MarginalKernel, pauli_from_string
 
 LOSS_KINDS = ("kl_only", "minimize_length", "maximize_length", "target_length", "target_vector")
 
@@ -134,17 +134,22 @@ class OptimizationResult:
     restart_summaries: list = field(default_factory=list)
 
 
-def _stacked_action(ops):
-    """MarginalKernel of an ErrorBasis or of Hermitian matrices."""
+def _stacked_action(ops, m=None):
+    """MarginalKernel of an ErrorBasis or of equal-length Pauli words (letter
+    strings or PauliStrings); with ``m``, checked to act on m dimensions."""
     if isinstance(ops, ErrorBasis):
-        return ops.action
-    mats = np.stack([np.asarray(op, dtype=complex) for op in ops])
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValueError("operators must be square matrices of equal dimension")
-    herm_dev = np.abs(mats - mats.conj().transpose(0, 2, 1)).max()
-    if herm_dev > 1e-12:
-        raise ValueError(f"operators must be Hermitian (deviation {herm_dev:.2e})")
-    return MarginalKernel.of_matrices(mats)
+        action = ops.action
+    else:
+        words = [pauli_from_string(w) for w in ops]
+        if len({w.n for w in words}) != 1:
+            raise ValueError("need one or more Pauli words of equal length, got lengths "
+                             f"{sorted({w.n for w in words})}")
+        action = MarginalKernel.of_words(words)
+    dim = action.inverse.shape[1]
+    if m is not None and m != dim:
+        raise ValueError(f"operators act on {dim.bit_length() - 1} qubits, "
+                         f"the search space on {math.log2(m):g}")
+    return action
 
 
 def _polar(theta):
@@ -220,20 +225,20 @@ def _evaluate(theta, action, spec, mu, want_grad):
 
 
 def loss(theta, ops, spec):
-    """Value of the selected loss at theta."""
+    """Value of the selected loss at theta over ``ops`` (an ErrorBasis or Pauli words)."""
     theta = np.asarray(theta, dtype=complex)
-    val, _ = _evaluate(theta, _stacked_action(ops), spec, spec.mu, False)
+    val, _ = _evaluate(theta, _stacked_action(ops, len(theta)), spec, spec.mu, False)
     return val
 
 
 def gradient(theta, ops, spec):
-    """Packed real gradient: dL/dRe(theta) + i dL/dIm(theta).
+    """Packed real gradient of ``loss``: dL/dRe(theta) + i dL/dIm(theta).
 
     A step theta - eta * gradient decreases the loss to first order; the
     directional derivative along a complex direction D is Re tr(grad^dag D).
     """
     theta = np.asarray(theta, dtype=complex)
-    _, aux = _evaluate(theta, _stacked_action(ops), spec, spec.mu, True)
+    _, aux = _evaluate(theta, _stacked_action(ops, len(theta)), spec, spec.mu, True)
     return aux["grad"]
 
 
@@ -398,7 +403,8 @@ def _best(outcomes):
 
 
 def optimize(n, K, ops, spec, config=None, *, start=None):
-    """Multi-restart search; returns the best restart by loss (ties by KL).
+    """Multi-restart search over ``ops`` (an ErrorBasis or n-qubit Pauli
+    words); returns the best restart by loss (ties by KL).
 
     ``start`` (a 2^n x K matrix, e.g. the basis of a nearby code) takes the
     first restart slot: that restart descends from ``start`` plus a seeded
@@ -422,8 +428,8 @@ def optimize(n, K, ops, spec, config=None, *, start=None):
     cores.
     """
     cfg = config or OptimizerConfig()
-    action = _stacked_action(ops)
     m = 2 ** n
+    action = _stacked_action(ops, m)
     if start is not None:
         start = np.asarray(start, dtype=complex)
         if start.shape != (m, K):
@@ -478,7 +484,8 @@ class JNRPoint:
 
 
 def jnr_feasibility(operators, K, config=None, residual_tol=1e-9, dedup_tol=1e-6):
-    """Feasible tuples of the rank-K joint numerical range of Hermitian operators.
+    """Feasible tuples of the rank-K joint numerical range of ``operators``,
+    an ErrorBasis or equal-length Pauli words (no 2^n x 2^n matrix is formed).
 
     Runs multi-start KL-residual minimization for P A_i P = v_i P and returns
     the deduplicated value tuples found with residual at most ``residual_tol``.
@@ -491,15 +498,10 @@ def jnr_feasibility(operators, K, config=None, residual_tol=1e-9, dedup_tol=1e-6
     points = []
     for summary, _, vals in _restarts(action.inverse.shape[1], K, action, spec, cfg):
         if summary.kl_violation <= residual_tol:
-            for p in points:
-                if np.abs(vals - np.asarray(p["values"])).max() <= dedup_tol:
-                    p["hits"] += 1
-                    p["residual"] = min(p["residual"], summary.kl_violation)
+            for i, p in enumerate(points):
+                if np.abs(vals - np.asarray(p.values)).max() <= dedup_tol:
+                    points[i] = JNRPoint(p.values, min(p.residual, summary.kl_violation), p.hits + 1)
                     break
             else:
-                points.append({
-                    "values": tuple(float(v) for v in vals),
-                    "residual": summary.kl_violation,
-                    "hits": 1,
-                })
-    return [JNRPoint(values=p["values"], residual=p["residual"], hits=p["hits"]) for p in points]
+                points.append(JNRPoint(tuple(float(v) for v in vals), summary.kl_violation, 1))
+    return points

@@ -5,9 +5,12 @@ the leftmost letter (and the most significant bit of computational-basis
 indices).  Products track their scalar phase exactly as a power of i, never
 as a float.
 
-``ErrorBasis.action`` is the basis as a MarginalKernel: a word of weight < d
-lies on a (d-1)-qubit subset S, so <psi_i|O|psi_j> is a linear read-off of
-S's Gram block, the subset-marginal form of Rains' weight enumerators.
+Operators reach the KL contraction only as Pauli words, through
+``MarginalKernel.of_words`` (``ErrorBasis.action`` for an error basis): a
+word of weight < d lies on a (d-1)-qubit subset S, so <psi_i|O|psi_j> is a
+linear read-off of S's Gram block, the subset-marginal form of Rains' weight
+enumerators.  No 2^n x 2^n matrix is formed; ``dense_matrix`` (a Kronecker
+product) is the independent reference the tests compare against.
 """
 
 import itertools
@@ -172,20 +175,8 @@ class ErrorBasis:
 
     @cached_property
     def action(self):
-        """The basis as a MarginalKernel on its (d-1)-qubit subsets.  On its
-        subset a word is a signed permutation: row u has one entry, at column
-        u ^ x for x its restricted x pattern."""
-        letters = np.frombuffer("".join(op.letters for op in self.ops).encode(), np.uint8)
-        letters = letters.reshape(len(self.ops), self.n)
-        x, z = np.isin(letters, list(b"XY")), np.isin(letters, list(b"YZ"))
-        subsets, index, sub = _subset_blocks(self.n, (x | z) @ _place(self.n))
-        on_sub, k = (np.arange(len(self.ops))[:, None], subsets[sub]), subsets.shape[1]
-        u = np.arange(2 ** k)
-        v = u ^ (x[on_sub] @ _place(k))[:, None]
-        odd = np.bitwise_count(v & (z[on_sub] @ _place(k))[:, None]) & 1
-        phase = np.array(PHASES)[(letters == ord("Y")).sum(1) % 4]
-        return MarginalKernel(index, (sub[:, None] << 2 * k) + (u << k) + v,
-                              phase[:, None] * np.where(odd, -1.0, 1.0))
+        """The basis as a MarginalKernel on its (d-1)-qubit subsets."""
+        return MarginalKernel.of_words(self.ops)
 
 
 def _place(n):
@@ -193,14 +184,15 @@ def _place(n):
     return 1 << np.arange(n - 1, -1, -1)
 
 
-def _subset_blocks(n, support):
-    """For operators with these support bit masks: the (S, k) subsets of k
-    qubits (k the largest support) in combination order, their subset_index,
-    and for each operator the first subset that holds its support."""
-    k = int(np.bitwise_count(support).max())
-    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
-    outside = _place(n).sum() - _place(n)[subsets].sum(1)
-    return subsets, subset_index(n, subsets), ((support[:, None] & outside) != 0).argmin(1)
+def _signed_rows(x, z, y, k):
+    """Signed-permutation rows of k-qubit Pauli words with masks x, z and y
+    Y letters (integers, or (m,) arrays for m words): row u holds
+    i^y (-1)^|v & z| at column v = u ^ x.  Returns (v, coef), u the last axis."""
+    x, z, y = (np.asarray(a)[..., None] for a in (x, z, y))
+    v = np.arange(2 ** k) ^ x
+    # bitwise_count is uint8: take the sign with where, not 1 - 2 * parity
+    odd = np.bitwise_count(v & z) & 1
+    return v, np.array(PHASES)[y % 4] * np.where(odd, -1.0, 1.0)
 
 
 def subset_index(n, subsets):
@@ -218,7 +210,8 @@ def subset_index(n, subsets):
 
 
 class MarginalKernel:
-    """Operator values <psi_i|O_a|psi_j> read off subset Gram blocks.
+    """Values <psi_i|O_a|psi_j> of Pauli words O_a read off subset Gram
+    blocks; ``of_words`` builds it.
 
     ``index`` (S, R, D) gathers a dim x K isometry psi to one block
     psi[index[s]] per subset; operator a's values are
@@ -245,29 +238,25 @@ class MarginalKernel:
             arr.setflags(write=False)
 
     @classmethod
-    def of_matrices(cls, mats):
-        """Kernel of (n_ops, dim, dim) dense operators.  For dim = 2^n each is
-        read from its nonzero entries on the first k-qubit subset that holds
-        its support (k the largest support), so a Pauli word gets the row
-        ErrorBasis.action builds.  Any other dim is one subset."""
-        n_ops, dim, _ = mats.shape
-        n = dim.bit_length() - 1
-        index, sub = np.arange(dim).reshape(1, 1, dim), np.zeros(n_ops, dtype=np.intp)
-        if 2 ** n == dim:
-            acts = np.array([_acts_on(mats, n, q) for q in range(n)], dtype=bool).reshape(n, n_ops)
-            _, index, sub = _subset_blocks(n, acts.T @ _place(n))
-        corner = index[sub, 0]
-        rows = mats[np.arange(n_ops)[:, None, None], corner[:, :, None], corner[:, None, :]]
-        rows = rows.reshape(n_ops, -1)
-        order = np.argsort(rows == 0, axis=1, kind="stable")
-        order = order[:, : max(np.count_nonzero(rows, axis=1).max(), 1)]
-        return cls(index, sub[:, None] * rows.shape[1] + order, np.take_along_axis(rows, order, 1))
-
-
-def _acts_on(mats, n, q):
-    """Per operator: not exactly the identity on qubit q (0-based)."""
-    t = mats.reshape(len(mats), 2 ** q, 2, 2 ** (n - q - 1), 2 ** q, 2, 2 ** (n - q - 1))
-    return (t != np.eye(2).reshape(2, 1, 1, 2, 1) * t[:, :, :1, :, :, :1]).any((1, 2, 3, 4, 5, 6))
+    def of_words(cls, words):
+        """Kernel of equal-length PauliStrings on the k-qubit subsets, k the
+        largest weight, in combination order.  Each word is read on the first
+        subset that holds its support, where it is a signed permutation, the
+        rows of ``_signed_rows``."""
+        n = words[0].n
+        letters = np.frombuffer("".join(op.letters for op in words).encode(), np.uint8)
+        letters = letters.reshape(len(words), n)
+        x, z = np.isin(letters, list(b"XY")), np.isin(letters, list(b"YZ"))
+        support = (x | z) @ _place(n)
+        k = int(np.bitwise_count(support).max())
+        subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+        outside = _place(n).sum() - _place(n)[subsets].sum(1)
+        sub = ((support[:, None] & outside) != 0).argmin(1)
+        on_sub = np.arange(len(words))[:, None], subsets[sub]
+        v, coef = _signed_rows(x[on_sub] @ _place(k), z[on_sub] @ _place(k),
+                               (letters == ord("Y")).sum(1), k)
+        cols = (sub[:, None] << 2 * k) + (np.arange(2 ** k) << k) + v
+        return cls(subset_index(n, subsets), cols, coef)
 
 
 @lru_cache(maxsize=None)
@@ -298,28 +287,14 @@ def enumerate_error_basis(n, d):
     return ErrorBasis(n=n, d=d, ops=tuple(ops))
 
 
-def pauli_action(p):
-    """Signed-permutation form of a Pauli word: O|x> = amp[x] |perm[x]>.
-
-    Returns (perm, amp) with perm[x] = x XOR x_mask and
-    amp[x] = i^{#Y} (-1)^{popcount(x AND z_mask)}.  Exact in floating point.
-    """
-    p = _as_phased(p).word
-    xs = np.arange(2 ** p.n, dtype=np.intp)
-    perm = xs ^ p.x_mask
-    # bitwise_count is uint8: take the sign with where, not 1 - 2 * parity
-    odd = np.bitwise_count(xs & p.z_mask) & 1
-    amp = PHASES[p.y_count % 4] * np.where(odd, -1.0, 1.0)
-    return perm, amp
-
-
 def apply_pauli(p, vec):
     """Apply a Pauli word to a state vector or to the columns of a matrix."""
-    perm, amp = pauli_action(p)
+    p = _as_phased(p).word
+    cols, coef = _signed_rows(p.x_mask, p.z_mask, p.y_count, p.n)
     v = np.asarray(vec)
     if v.ndim == 1:
-        return amp[perm] * v[perm]
-    return amp[perm][:, None] * v[perm, :]
+        return coef * v[cols]
+    return coef[:, None] * v[cols, :]
 
 
 def dense_matrix(p):

@@ -57,13 +57,7 @@ class StabilizerCode:
 
 
 def _parse_row(row):
-    tokens = str(row).replace("−", "-").split()
-    if tokens and tokens[0] in ("+", "-"):
-        sign, tokens = tokens[0], tokens[1:]
-        text = sign + "".join(tokens)
-    else:
-        text = "".join(tokens)
-    g = phased_pauli_from_string(text)
+    g = phased_pauli_from_string("".join(str(row).split()))
     if g.phase_exp % 2 != 0:
         raise ValueError(f"generator phase must be +1 or -1, got {g}")
     return g

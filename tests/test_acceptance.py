@@ -187,7 +187,7 @@ def test_criterion_6_sweep_transition():
 
 @criterion(7, "disconnected rank-2 joint numerical range: 200 feasibility runs")
 def test_criterion_7_disconnected_jnr():
-    ops = [dense_matrix(pauli_from_string(w)) for w in ("XI", "XZ", "YI", "YZ", "ZI")]
+    ops = ["XI", "XZ", "YI", "YZ", "ZI"]
     points = jnr_feasibility(ops, 2, OptimizerConfig(seed=7200, restarts=200))
     assert sum(p.hits for p in points) == 200  # every run landed on a tuple
     signs = set()

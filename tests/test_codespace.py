@@ -151,19 +151,17 @@ def test_kernel_values_and_gradient_property(case, seed):
     assert abs(analytic - fd) <= 1e-6 * abs(fd) + 1e-14 * abs(loss(theta, basis, spec)) / h
 
 
-def test_dense_kernel_matches_direct_contraction():
-    # local operators on three qubits, a scalar, and spaces of dimension 3 and 1
-    A = haar_unitary(2) @ np.diag([1.0, -0.5]) @ haar_unitary(2).conj().T
-    H = haar_unitary(4) @ np.diag([1.0, 2.0, -1.0, 0.0]) @ haar_unitary(4).conj().T
-    I2 = np.eye(2)
+def test_word_kernel_matches_direct_contraction():
+    # mixed supports with the identity among them, identities alone, one qubit
     cases = [
-        [np.kron(np.kron(I2, A), I2), np.kron(H, I2), np.kron(I2, H), 2.0 * np.eye(8)],
-        [np.diag([1.0, 2.0, 3.0]), np.array([[0, 1, 0], [1, 0, 1j], [0, -1j, 0]])],
-        [np.array([[1.5]]), np.zeros((1, 1))],
+        ["IXI", "ZZI", "IYX", "III"],
+        ["XIIY", "IIII", "YZXI", "IIZI", "ZIIZ"],
+        ["II", "II"],
+        ["Y", "I", "Z"],
     ]
-    for mats in cases:
-        mats = np.array(mats, dtype=complex)
-        kernel = MarginalKernel.of_matrices(mats)
+    for words in cases:
+        kernel = MarginalKernel.of_words([pauli_from_string(w) for w in words])
+        mats = np.array([dense_matrix(pauli_from_string(w)) for w in words])
         K = min(2, mats.shape[1])
         psi = haar_unitary(mats.shape[1])[:, :K]
         shape = (len(mats), K, K)
@@ -171,8 +169,9 @@ def test_dense_kernel_matches_direct_contraction():
         Y, values = kl_block(psi, kernel)
         assert np.abs(values - psi.conj().T @ mats @ psi).max() <= 1e-12
         assert np.abs(kl_adjoint(Y, M, kernel) - (mats @ psi @ M).sum(0)).max() <= 1e-12
-    # the three-qubit operators act on at most two qubits: pairs, not one 8-dim block
-    assert MarginalKernel.of_matrices(np.array(cases[0], dtype=complex)).index.shape == (3, 2, 4)
+    # three-qubit words of weight at most two: pairs, not one 8-dim block
+    words = [pauli_from_string(w) for w in cases[0]]
+    assert MarginalKernel.of_words(words).index.shape == (3, 2, 4)
 
 
 def test_kl_violation_stabilizer_codes_at_round_off():

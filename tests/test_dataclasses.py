@@ -30,7 +30,7 @@ def _values():
         "WeightEnumerator": lambda: weight_enumerators(steane),
         "WeightEnumerator (closed form)": lambda: closed_form_723(1.0),
         "LossSpec": lambda: LossSpec("target_vector", target_vector=np.zeros(3)),
-        "MarginalKernel": lambda: MarginalKernel.of_matrices(np.eye(2)[None]),
+        "MarginalKernel": lambda: MarginalKernel.of_words(basis.ops),
     }
 
 

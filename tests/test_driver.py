@@ -433,6 +433,10 @@ def test_cli_rejects_input_naming_it(tmp_path, capsys):
     empty.write_text("\n")
     assert main(["jnr", "--operators", str(empty), "--K", "1"]) == 2
     assert str(empty) in capsys.readouterr().err
+    uneven = tmp_path / "uneven.txt"
+    uneven.write_text("XI\nXIZ\n")
+    assert main(["jnr", "--operators", str(uneven), "--K", "1"]) == 2
+    assert "Pauli words of equal length, got lengths [2, 3]" in capsys.readouterr().err
     assert main(["construct", "family623", "--e-vector", "0.5,0,0"]) == 2
     assert "5 components" in capsys.readouterr().err
 
@@ -449,6 +453,18 @@ def test_cli_jnr(tmp_path):
     values = [list(map(float, ln.split(",")[:5])) for ln in lines[1:]]
     finals = sorted(v[4] for v in values)
     assert abs(finals[0] + 1) <= 1e-8 and abs(finals[-1] - 1) <= 1e-8
+
+
+def test_cli_jnr_forms_no_dense_matrix(tmp_path):
+    # 13 qubits is past dense_matrix's guard: the words reach the kernel as words
+    ops = tmp_path / "ops.txt"
+    ops.write_text("XIIIIIIIIIIIZ\nIZZIIIIIIIIII\nIIIIIIYIIIIII\n")
+    out = tmp_path / "jnr.csv"
+    assert main(["jnr", "--operators", str(ops), "--K", "1", "--restarts", "1",
+                 "--max-iters", "5", "--out", str(out)]) == 0
+    header, row = out.read_text().strip().splitlines()
+    assert header == "XIIIIIIIIIIIZ,IZZIIIIIIIIII,IIIIIIYIIIIII,residual,hits"
+    assert all(abs(float(v)) <= 1 for v in row.split(",")[:3])
 
 
 def test_cli_error_exit_code(tmp_path):

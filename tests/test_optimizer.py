@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from klscope.codespace import kl_violation, lambda_star, signature_vector
+from klscope import optimizer
 from klscope.optimizer import (
     SETTLE_RESTARTS,
     ConditioningError,
@@ -18,7 +19,7 @@ from klscope.optimizer import (
     optimize,
     stiefel_map,
 )
-from klscope.pauli import dense_matrix, enumerate_error_basis, pauli_from_string
+from klscope.pauli import enumerate_error_basis, pauli_from_string
 from klscope.stabilizer import builtin, codespace_from_stabilizer
 
 np_rng = np.random.default_rng(314159)
@@ -136,20 +137,6 @@ def test_gradient_matches_finite_differences():
         assert abs(analytic - fd) <= 1e-6 * max(abs(fd), 1e-9 / 1e-6)
 
 
-def test_loss_and_gradient_pauli_basis_match_dense_operators():
-    basis = enumerate_error_basis(3, 3)
-    mats = [dense_matrix(op) for op in basis]
-    specs = [
-        LossSpec("kl_only", mu=1.0),
-        LossSpec("minimize_length", mu=1000.0),
-        LossSpec("target_length", mu=1000.0, target_length=0.8),
-    ]
-    for spec in specs:
-        theta = random_theta(8, 2)
-        assert abs(loss(theta, basis, spec) - loss(theta, mats, spec)) <= 1e-12
-        assert np.abs(gradient(theta, basis, spec) - gradient(theta, mats, spec)).max() <= 1e-12
-
-
 def test_gradient_orthogonal_to_scale_directions():
     basis = enumerate_error_basis(3, 3)
     theta = random_theta(8, 2)
@@ -251,7 +238,7 @@ def test_target_vector_loss_accepts_signature():
 
 
 def test_jnr_disconnected_two_qubit_example():
-    ops = [dense_matrix(pauli_from_string(w)) for w in ("XI", "XZ", "YI", "YZ", "ZI")]
+    ops = ["XI", "XZ", "YI", "YZ", "ZI"]
     points = jnr_feasibility(ops, 2, OptimizerConfig(seed=5, restarts=25))
     assert len(points) == 2
     signs = set()
@@ -266,25 +253,22 @@ def test_jnr_disconnected_two_qubit_example():
 
 
 def test_jnr_rank_one_fills_interval():
-    ops = [dense_matrix(pauli_from_string("ZI"))]
-    points = jnr_feasibility(ops, 1, OptimizerConfig(seed=9, restarts=40, max_iters=5))
+    points = jnr_feasibility(["ZI"], 1, OptimizerConfig(seed=9, restarts=40, max_iters=5))
     vals = [p.values[0] for p in points]
     assert min(vals) < -0.5 and max(vals) > 0.5
     assert all(-1 - 1e-9 <= v <= 1 + 1e-9 for v in vals)
 
 
 def test_jnr_full_rank_trace_average():
-    ops = [3.0 * np.eye(4)]
-    points = jnr_feasibility(ops, 4, OptimizerConfig(seed=2, restarts=3))
+    points = jnr_feasibility(["II"], 4, OptimizerConfig(seed=2, restarts=3))
     assert len(points) == 1
-    assert abs(points[0].values[0] - 3.0) <= 1e-9
+    assert abs(points[0].values[0] - 1.0) <= 1e-9
     # a non-scalar operator leaves no feasible tuple at full rank
-    ops = [dense_matrix(pauli_from_string("ZI"))]
-    assert jnr_feasibility(ops, 4, OptimizerConfig(seed=2, restarts=3)) == []
+    assert jnr_feasibility(["ZI"], 4, OptimizerConfig(seed=2, restarts=3)) == []
 
 
 def test_jnr_sees_the_restarts_of_a_kl_only_search():
-    ops = [dense_matrix(pauli_from_string(w)) for w in ("XI", "XZ", "YI", "YZ", "ZI")]
+    ops = [pauli_from_string(w) for w in ("XI", "XZ", "YI", "YZ", "ZI")]
     cfg = OptimizerConfig(seed=5, restarts=25)
     residual_tol = 1e-9
     points = jnr_feasibility(ops, 2, cfg, residual_tol=residual_tol)
@@ -317,8 +301,28 @@ def test_non_finite_search_input_rejected(value):
 
 
 def test_jnr_validates_input():
-    with pytest.raises(ValueError, match="Hermitian"):
-        jnr_feasibility([np.array([[0, 1], [0, 0]])], 1,
-                        OptimizerConfig(seed=0, restarts=1))
-    with pytest.raises(ValueError):
-        jnr_feasibility([np.eye(2)], 3, OptimizerConfig(seed=0, restarts=1))
+    cfg = OptimizerConfig(seed=0, restarts=1)
+    with pytest.raises(ValueError, match="invalid Pauli letter 'Q'"):
+        jnr_feasibility(["XI", "QI"], 1, cfg)
+    with pytest.raises(ValueError, match=r"equal length, got lengths \[2, 3\]"):
+        jnr_feasibility(["XI", "XIZ"], 1, cfg)
+    with pytest.raises(ValueError, match=r"one or more Pauli words .* got lengths \[\]"):
+        jnr_feasibility([], 1, cfg)
+    with pytest.raises(ValueError, match="K <= 2"):
+        jnr_feasibility(["X"], 3, cfg)
+
+
+def test_mismatched_operators_rejected_on_entry(monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("evaluated despite mismatched operators")
+
+    monkeypatch.setattr(optimizer, "_evaluate", no_evaluation)
+    spec, cfg = LossSpec("kl_only", mu=1.0), OptimizerConfig(seed=0, restarts=2)
+    for ops, k, n in ((enumerate_error_basis(6, 3), 6, 7), (["XI", "ZZ"], 2, 3)):
+        match = f"operators act on {k} qubits, the search space on {n}"
+        with pytest.raises(ValueError, match=match):
+            optimize(n, 2, ops, spec, cfg)
+        with pytest.raises(ValueError, match=match):
+            loss(random_theta(2 ** n, 2), ops, spec)
+        with pytest.raises(ValueError, match=match):
+            gradient(random_theta(2 ** n, 2), ops, spec)

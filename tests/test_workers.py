@@ -32,7 +32,7 @@ if sys.argv[1] == "1":
 import dataclasses, hashlib
 from klscope.driver import sweep
 from klscope.optimizer import LossSpec, OptimizerConfig, jnr_feasibility, optimize
-from klscope.pauli import dense_matrix, enumerate_error_basis, pauli_from_string
+from klscope.pauli import enumerate_error_basis
 
 print(len(os.sched_getaffinity(0)))
 
@@ -56,7 +56,7 @@ grid = [0.5069777060139263, 0.6850017165945185, 0.7688959036575356,
         0.9374430290821671, 1.0928404172222648]
 for row in sweep(6, 2, 3, grid).rows:
     print(dataclasses.replace(row, wall_ms=0).csv())
-ops = [dense_matrix(pauli_from_string(w)) for w in ("XI", "XZ", "YI", "YZ", "ZI")]
+ops = ["XI", "XZ", "YI", "YZ", "ZI"]
 print(repr(jnr_feasibility(ops, 2, OptimizerConfig(seed=5, restarts=40))))
 """
 
