@@ -8,8 +8,8 @@ purities, and local-unitary images.
 
 The KL tensor comes from one contraction, ``kl_block``: the code is gathered
 into one block per (d-1)-qubit subset, one batched matmul forms the subsets'
-Gram blocks, and the error basis's MarginalKernel reads the values off them.
-``kl_adjoint`` is the same map transposed, for gradients.
+Gram blocks, and the error basis's MarginalKernel reads the values off them
+with one sparse matrix; ``kl_adjoint`` is the same map transposed, for gradients.
 """
 
 import json
@@ -103,24 +103,23 @@ class SignatureVector:
 def kl_block(psi, kernel):
     """(Y, values) for an isometry psi (dim x K) and a MarginalKernel: Y are
     psi's subset blocks, shape (S, R, D * K), and values[a, i, j] =
-    <psi_i|O_a|psi_j> is read off the blocks' Grams, one batched matmul."""
+    <psi_i|O_a|psi_j> is ``kernel.readoff`` times the blocks' Grams, formed
+    by one batched matmul."""
     S, R, D = kernel.index.shape
     K = psi.shape[1]
     Y = np.take(psi, kernel.index, axis=0).reshape(S, R, D * K)
     gram = np.matmul(Y.conj().transpose(0, 2, 1), Y)
     gram = gram.reshape(S, D, K, D, K).transpose(0, 1, 3, 2, 4).reshape(S * D * D, K * K)
-    values = np.matmul(kernel.coef[:, None, :], np.take(gram, kernel.cols, axis=0))
-    return Y, values.reshape(-1, K, K)
+    return Y, (kernel.readoff @ gram).reshape(-1, K, K)
 
 
 def kl_adjoint(Y, M, kernel):
     """sum_a O_a psi M_a for Y = kl_block(psi, kernel)[0] and (n_ops, K, K)
-    M: the transposed read-off, one batched matmul, the inverse gather."""
+    M: ``kernel.readoff_t`` times M, one batched matmul, the inverse gather."""
     S, R, D = kernel.index.shape
     K = M.shape[1]
-    M = M.reshape(-1, K * K)
-    blocks = np.matmul(kernel.coef_t[:, None, :], np.take(M, kernel.cols_t, axis=0))
-    blocks = blocks.reshape(S, D, D, K, K).transpose(0, 2, 3, 1, 4).reshape(S, D * K, D * K)
+    blocks = (kernel.readoff_t @ M.reshape(-1, K * K)).reshape(S, D, D, K, K)
+    blocks = blocks.transpose(0, 2, 3, 1, 4).reshape(S, D * K, D * K)
     return np.take(np.matmul(Y, blocks).reshape(-1, K), kernel.inverse, axis=0).sum(0)
 
 
@@ -175,10 +174,13 @@ def lambda_star(sig):
 
 
 def reduced_density_matrix(code, codeword, qubits):
-    """RDM of one codeword on a qubit subset (1-based indices, ascending order)."""
+    """RDM of codeword 0..K-1 on distinct qubits (1-based, taken in ascending order)."""
+    if (isinstance(codeword, bool) or not isinstance(codeword, (int, np.integer))
+            or not 0 <= codeword < code.K):
+        raise ValueError(f"codeword must be an integer in 0..{code.K - 1}, got {codeword!r}")
     qubits = sorted(qubits)
-    if not qubits or len(qubits) >= code.n:
-        raise ValueError(f"qubit subset must be nonempty and proper, got {qubits}")
+    if not qubits or len(qubits) >= code.n or len(set(qubits)) < len(qubits):
+        raise ValueError(f"qubit subset must be nonempty, proper and distinct, got {qubits}")
     if qubits[0] < 1 or qubits[-1] > code.n:
         raise ValueError(f"qubit indices out of range 1..{code.n}: {qubits}")
     m = code.basis[subset_index(code.n, [[q - 1 for q in qubits]])[0], codeword]

@@ -2,9 +2,9 @@
 
 Six qubits: codes |0_L> = sum_i |x_i>|S_i> built from an orthogonal frame,
 the 5x5 matrix A = [a b c d e] with A A^T = I/4 (``OrthoFrame``; the samplers
-build A directly from one sign-fixed real QR, ``frame_from_abcd`` completes
-four columns by SVD).  The signature norm depends only on the completion
-column e through lambda*^2 = 1/2 + 8 sum_i e_i^4 and sweeps [0.6, 1].
+build A from ``orthonormalize`` of a Gaussian matrix, ``frame_from_abcd``
+completes four columns by SVD).  The signature norm depends only on the
+completion column e through lambda*^2 = 1/2 + 8 sum_i e_i^4 and sweeps [0.6, 1].
 Seven qubits: permutation-invariant codes on the Dicke basis and
 cyclic codes on even-weight cyclic orbits, parameterized by lambda* in
 [0, sqrt(7)].  Includes Hamiltonian ground-space checks and the frame-rotation
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codespace import CodeSubspace, SignatureVector, apply_local_unitary, kl_violation, new_code
+from .codespace import (CodeSubspace, SignatureVector, apply_local_unitary, kl_violation,
+                        new_code, orthonormalize)
 from .pauli import apply_pauli, dense_matrix, enumerate_error_basis, pauli_from_string
 
 SQRT7 = math.sqrt(7.0)
@@ -94,12 +95,6 @@ def _completion_vector(e):
     return e
 
 
-def _orthogonal(rng, k):
-    """Haar-random k x k orthogonal matrix: the sign-fixed QR of a Gaussian matrix."""
-    q, r = np.linalg.qr(rng.standard_normal((k, k)))
-    return q * np.sign(np.diag(r))
-
-
 def frame_from_abcd(a, b, c, d):
     """Complete four orthogonal 1/4-norm columns with the unique e (sign-fixed)."""
     M = np.stack([np.asarray(v, dtype=float) for v in (a, b, c, d)], axis=1)
@@ -114,7 +109,7 @@ def frame_from_abcd(a, b, c, d):
 
 def random_frame(rng):
     """Random frame: a Haar-random orthogonal 5x5 matrix scaled by 1/2."""
-    return OrthoFrame(_orthogonal(rng, 5) / 2)
+    return OrthoFrame(orthonormalize(rng.standard_normal((5, 5)))[0].real / 2)
 
 
 def frame_with_e(e, rng):
@@ -125,7 +120,8 @@ def frame_with_e(e, rng):
     """
     e = _completion_vector(e)
     complement = np.linalg.svd(e.reshape(1, 5))[2][1:]
-    return OrthoFrame(np.column_stack([complement.T @ _orthogonal(rng, 4) / 2, e]))
+    rotation = orthonormalize(rng.standard_normal((4, 4)))[0].real
+    return OrthoFrame(np.column_stack([complement.T @ rotation / 2, e]))
 
 
 def _spinors(frame):

@@ -25,7 +25,7 @@ import multiprocessing
 import os
 import signal
 import time
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -329,7 +329,8 @@ def _one_blas_thread():
     thread pool, and setting the count in the child would restart it: its
     helpers then spin on the other workers' cores.
     """
-    with open("/proc/self/maps") as fh:
+    paths = []
+    with suppress(OSError), open("/proc/self/maps") as fh:  # absent off Linux: no pin
         paths = sorted({ln.split(None, 5)[5].strip() for ln in fh if "openblas" in ln})
     saved = []
     for lib in map(ctypes.CDLL, paths):
@@ -368,7 +369,7 @@ def _restart_pool(action, workers):
     restart whose outcome is dropped and no worker outlives it, also on an
     exception or Ctrl-C."""
     fork = multiprocessing.get_context("fork")
-    with _one_blas_thread(), fork.Pool(workers, _init_worker, (action,)) as pool:
+    with fork.Pool(workers, _init_worker, (action,)) as pool:
         yield pool
 
 
@@ -379,18 +380,21 @@ def _restarts(m, K, action, spec, cfg, start=None):
     in this process: it usually ends within 1 + SETTLE_RESTARTS restarts,
     fewer than forked workers pay for.  A cold search runs in a pool of forked
     workers, one per usable core, each taking the next restart as soon as it
-    is free.  Closing the generator drops the outcomes computed ahead of the
+    is free.  Either way OpenBLAS runs one thread until the generator closes
+    (a restart's calls are too small to gain from more, and an idle helper
+    spins beside it).  Closing drops the outcomes computed ahead of the
     consumer and terminates the workers."""
     if not 1 <= K <= m:  # else every start is rank-deficient and the redraw never ends
         raise ValueError(f"need 1 <= K <= {m}, got {K}")
     seeds = list(enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)))
     workers = 1 if start is not None else min(_usable_cores(), len(seeds))
-    if workers < 2:
-        for r, seq in seeds:
-            yield _run_restart(r, seq, m, K, action, spec, cfg, start if r == 0 else None)
-        return
-    with _restart_pool(action, workers) as pool:
-        yield from pool.imap(_pooled_restart, [(r, seq, m, K, spec, cfg) for r, seq in seeds])
+    with _one_blas_thread():
+        if workers < 2:
+            for r, seq in seeds:
+                yield _run_restart(r, seq, m, K, action, spec, cfg, start if r == 0 else None)
+            return
+        with _restart_pool(action, workers) as pool:
+            yield from pool.imap(_pooled_restart, [(r, seq, m, K, spec, cfg) for r, seq in seeds])
 
 
 def _best(outcomes):

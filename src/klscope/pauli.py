@@ -8,9 +8,10 @@ as a float.
 Operators reach the KL contraction only as Pauli words, through
 ``MarginalKernel.of_words`` (``ErrorBasis.action`` for an error basis): a
 word of weight < d lies on a (d-1)-qubit subset S, so <psi_i|O|psi_j> is a
-linear read-off of S's Gram block, the subset-marginal form of Rains' weight
-enumerators.  No 2^n x 2^n matrix is formed; ``dense_matrix`` (a Kronecker
-product) is the independent reference the tests compare against.
+linear read-off of S's Gram block (the subset-marginal form of Rains' weight
+enumerators), and the read-off of all words is one sparse matrix.  No 2^n x
+2^n matrix is formed; ``dense_matrix`` (a Kronecker product) is the
+independent reference the tests compare against.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.sparse
 
 PAULI_LETTERS = "IXYZ"
 
@@ -214,27 +216,20 @@ class MarginalKernel:
     blocks; ``of_words`` builds it.
 
     ``index`` (S, R, D) gathers a dim x K isometry psi to one block
-    psi[index[s]] per subset; operator a's values are
-    sum_w coef[a, w] G[cols[a, w]], for G the blocks' Grams as rows (s, u, v)
-    of K x K blocks.  ``inverse`` undoes the gather, and (cols_t, coef_t) are
-    the read-off by column, padded with zero coefficients.
+    psi[index[s]] per subset, and ``inverse`` undoes the gather.  The values
+    are ``readoff @ G``, for G the blocks' Grams as rows (s, u, v) of K x K
+    blocks: ``readoff`` is a (n_ops, S D^2) CSR matrix, and ``readoff_t`` its
+    transpose, also CSR, reads the adjoint.  Every array is read-only.
     """
 
-    def __init__(self, index, cols, coef):
+    def __init__(self, index, readoff):
         S, R, D = index.shape
-        self.index, self.cols, self.coef = index, cols, np.asarray(coef, dtype=complex)
+        self.index, self.readoff, self.readoff_t = index, readoff, readoff.T.tocsr()
         self.inverse = np.empty((S, R * D), dtype=np.intp)
         flat_position = np.arange(S * R * D).reshape(S, -1)
         self.inverse[np.arange(S)[:, None], index.reshape(S, -1)] = flat_position
-        flat = cols.ravel()
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=S * D * D)
-        slot = np.arange(flat.size) - (np.cumsum(counts) - counts)[flat[order]]
-        self.cols_t = np.zeros((counts.size, counts.max()), dtype=np.intp)
-        self.coef_t = np.zeros(self.cols_t.shape, dtype=complex)
-        self.cols_t[flat[order], slot] = order // cols.shape[1]
-        self.coef_t[flat[order], slot] = self.coef.ravel()[order]
-        for arr in vars(self).values():
+        for arr in (index, self.inverse, readoff.data, readoff.indices, readoff.indptr,
+                    self.readoff_t.data, self.readoff_t.indices, self.readoff_t.indptr):
             arr.setflags(write=False)
 
     @classmethod
@@ -256,7 +251,10 @@ class MarginalKernel:
         v, coef = _signed_rows(x[on_sub] @ _place(k), z[on_sub] @ _place(k),
                                (letters == ord("Y")).sum(1), k)
         cols = (sub[:, None] << 2 * k) + (np.arange(2 ** k) << k) + v
-        return cls(subset_index(n, subsets), cols, coef)
+        readoff = scipy.sparse.csr_array(
+            (coef.ravel(), cols.ravel(), np.arange(0, cols.size + 1, 2 ** k)),
+            shape=(len(words), len(subsets) << 2 * k))
+        return cls(subset_index(n, subsets), readoff)
 
 
 @lru_cache(maxsize=None)

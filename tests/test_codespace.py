@@ -174,6 +174,21 @@ def test_word_kernel_matches_direct_contraction():
     assert MarginalKernel.of_words(words).index.shape == (3, 2, 4)
 
 
+def test_cached_kernel_is_read_only():
+    basis = enumerate_error_basis(6, 3)
+    kernel = basis.action
+    S, _, D = kernel.index.shape
+    assert kernel.readoff.format == kernel.readoff_t.format == "csr"
+    assert kernel.readoff.shape == kernel.readoff_t.shape[::-1] == (len(basis), S * D * D)
+    arrays = [kernel.index, kernel.inverse]
+    for mat in (kernel.readoff, kernel.readoff_t):
+        arrays += [mat.data, mat.indices, mat.indptr]
+    for arr in arrays:
+        first = (0,) * arr.ndim
+        with pytest.raises(ValueError, match="read-only"):
+            arr[first] = arr[first]
+
+
 def test_kl_violation_stabilizer_codes_at_round_off():
     assert kl_violation(codespace_from_stabilizer(builtin("steane")),
                         enumerate_error_basis(7, 3)) <= 1e-20
@@ -249,6 +264,18 @@ def test_rdm_contract_and_errors():
         reduced_density_matrix(code, 0, [])
     with pytest.raises(ValueError):
         reduced_density_matrix(code, 0, [1, 2, 3])
+
+
+@pytest.mark.parametrize("codeword, qubits, named", [
+    (-1, [1], "got -1"),
+    (2, [1], "got 2"),
+    (True, [1], "got True"),
+    (0, [1, 1], r"got \[1, 1\]"),
+], ids=["negative", "past_K", "bool", "repeated_qubit"])
+def test_rdm_rejects_bad_codeword_and_qubits(codeword, qubits, named):
+    code = random_code(3, 2)
+    with pytest.raises(ValueError, match=named):
+        reduced_density_matrix(code, codeword, qubits)
 
 
 def test_purity_examples():

@@ -54,6 +54,59 @@ def test_search_is_blas_thread_invariant():
     assert outputs[0] == outputs[1]
 
 
+_BLAS_POLICY = """
+import ctypes
+import numpy as np
+from klscope import optimizer
+from klscope.optimizer import LossSpec, OptimizerConfig, optimize
+from klscope.pauli import enumerate_error_basis
+
+def thread_counts():
+    with open("/proc/self/maps") as fh:
+        paths = sorted({ln.split(None, 5)[5].strip() for ln in fh if "openblas" in ln})
+    counts = []
+    for lib in map(ctypes.CDLL, paths):
+        for prefix, suffix in optimizer._OPENBLAS_NAMES:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if get is not None:
+                counts.append(get())
+                break
+    return counts
+
+inside = []
+run = optimizer._run_restart
+
+def recording(*args):
+    inside.append(thread_counts())
+    return run(*args)
+
+optimizer._run_restart = recording
+before = thread_counts()
+spec = LossSpec("target_length", mu=1000.0, target_length=2.5 ** 0.5)
+res = optimize(2, 1, enumerate_error_basis(2, 2), spec, OptimizerConfig(seed=3, restarts=6),
+               start=np.eye(4)[:, :1])
+for counts in (before, inside[0], thread_counts()):
+    print(*counts)
+print(res.stop_reason)
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs at least two usable cores")
+def test_warm_restart_runs_on_one_blas_thread():
+    # an in-process restart pins every OpenBLAS to one thread; optimize restores the count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _BLAS_POLICY], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    before, inside, after, stop_reason = done.stdout.splitlines()
+    assert stop_reason == "settled"  # every restart ran in this process
+    assert before and set(before.split()) == {"2"}
+    assert set(inside.split()) == {"1"}
+    assert after == before
+
+
 def test_stiefel_map_fixes_isometry():
     code = codespace_from_stabilizer(builtin("steane"))
     out = stiefel_map(code.basis)
