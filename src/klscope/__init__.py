@@ -66,7 +66,6 @@ from .pauli import (
     PhasedPauli,
     dense_matrix,
     enumerate_error_basis,
-    multiply,
     pauli_from_string,
 )
 from .stabilizer import StabilizerCode, builtin, codespace_from_stabilizer, parse_generators

@@ -24,6 +24,7 @@ from .pauli import ErrorBasis, subset_index
 DEFAULT_KL_TOL = 1e-10
 
 ISOMETRY_TOL = 1e-8
+RANK_TOL = 1e-9  # orthonormalize: relative size of |R_kk| that counts a column independent
 
 CODE_JSON_FORMAT = "klscope.code/1"
 
@@ -60,19 +61,19 @@ class CodeSubspace:
         return self.basis @ self.basis.conj().T
 
 
-def orthonormalize(mat, tol=1e-9):
+def orthonormalize(mat):
     """Orthonormalize the columns of ``mat`` by one QR; returns (q, rank).
 
     Column phases are fixed so that diag(R) > 0, the unique Gram-Schmidt result,
     so orthonormal input passes through up to round-off.  ``rank`` counts the
-    leading columns with |R_kk| > tol * max(column norm, 1).
+    leading columns with |R_kk| > RANK_TOL * max(column norm, 1).
     """
     mat = np.asarray(mat, dtype=complex)
     q, r = np.linalg.qr(mat)
     diag = np.diagonal(r)
     size = np.abs(diag)
     q = q * np.divide(diag, size, out=np.ones_like(diag), where=size > 0)
-    independent = size > tol * np.maximum(np.linalg.norm(mat[:, : diag.size], axis=0), 1.0)
+    independent = size > RANK_TOL * np.maximum(np.linalg.norm(mat[:, : diag.size], axis=0), 1.0)
     return q, int(np.cumprod(independent).sum())
 
 
@@ -181,8 +182,9 @@ def reduced_density_matrix(code, codeword, qubits):
     qubits = sorted(qubits)
     if not qubits or len(qubits) >= code.n or len(set(qubits)) < len(qubits):
         raise ValueError(f"qubit subset must be nonempty, proper and distinct, got {qubits}")
-    if qubits[0] < 1 or qubits[-1] > code.n:
-        raise ValueError(f"qubit indices out of range 1..{code.n}: {qubits}")
+    integral = all(isinstance(q, (int, np.integer)) and not isinstance(q, bool) for q in qubits)
+    if not integral or qubits[0] < 1 or qubits[-1] > code.n:
+        raise ValueError(f"qubit indices must be integers in 1..{code.n}, got {qubits}")
     m = code.basis[subset_index(code.n, [[q - 1 for q in qubits]])[0], codeword]
     return m.T @ m.conj()
 

@@ -197,6 +197,8 @@ def construct_code(kind, **kwargs):
 
 def verify_code(code, d=3, tol=1e-10, lu_samples=3, seed=0):
     """Re-check a code: KL residual, lambda*, enumerator identity, LU drift."""
+    if not 0 <= tol < math.inf:  # also rejects NaN
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
     basis = enumerate_error_basis(code.n, d)
     violation = kl_violation(code, basis)
     report = {"n": code.n, "K": code.K, "d": d, "kl_violation": violation}

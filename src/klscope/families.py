@@ -199,26 +199,6 @@ def block_eigenvalues(r, s):
     return np.array([1 - s, 1 - s, 1 - s, (2 + 3 * s + root) / 2, (2 + 3 * s - root) / 2])
 
 
-@dataclass(frozen=True, eq=False)
-class LogicalOverlaps:
-    """Spinor overlap matrices M^{xx}, M^{xy}, M^{yx}, M^{yy} of a frame."""
-
-    Mxx: np.ndarray
-    Mxy: np.ndarray
-    Myx: np.ndarray
-    Myy: np.ndarray
-
-
-def logical_overlaps(frame):
-    xs, ys = _spinors(frame)
-    return LogicalOverlaps(
-        Mxx=xs.conj() @ xs.T,
-        Mxy=xs.conj() @ ys.T,
-        Myx=ys.conj() @ xs.T,
-        Myy=ys.conj() @ ys.T,
-    )
-
-
 # frame-rotation generators: skew 4x4 with +1 at (i,j), -1 at (j,i)
 def _skew(i, j):
     m = np.zeros((4, 4))
@@ -406,26 +386,6 @@ def cyclic_coeffs_from_lambda(lam, branch_c1=-1, branch_c3=-1):
     if not residual <= 1e-12:
         raise ValueError(f"cyclic coefficients miss the constraints by {residual:.3e}")
     return coeffs
-
-
-def cyclic_branches(lam):
-    """All four sign branches at one lambda*, with coinciding-projector groups.
-
-    Returns (branches, groups): a dict (branch_c1, branch_c3) -> CyclicCoeffs
-    and a partition of the four keys into groups whose codes share a projector.
-    """
-    branches = {(b1, b3): cyclic_coeffs_from_lambda(lam, b1, b3)
-                for b1 in (-1, 1) for b3 in (-1, 1)}
-    projectors = {key: cyclic_code_723(c).projector for key, c in branches.items()}
-    groups = []
-    for key, proj in projectors.items():
-        for group in groups:
-            if np.abs(proj - projectors[group[0]]).max() <= CHECK_TOL:
-                group.append(key)
-                break
-        else:
-            groups.append([key])
-    return branches, groups
 
 
 def cyclic_code_723(coeffs):

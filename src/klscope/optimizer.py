@@ -20,6 +20,7 @@ byte-identical for any core count; ``taskset -c 0`` runs them serially.
 """
 
 import ctypes
+import functools
 import math
 import multiprocessing
 import os
@@ -31,14 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .codespace import (
-    CodeSubspace,
-    kl_adjoint,
-    kl_block,
-    kl_residual,
-    kl_violation as codespace_kl_violation,
-    signature_vector,
-)
+from .codespace import CodeSubspace, kl_adjoint, kl_block, kl_residual
+# not called here: benchmarks/layers.py wraps these two names to count KL calls
+from .codespace import kl_violation as codespace_kl_violation, signature_vector  # noqa: F401
 from .pauli import ErrorBasis, MarginalKernel, pauli_from_string
 
 LOSS_KINDS = ("kl_only", "minimize_length", "maximize_length", "target_length", "target_vector")
@@ -52,6 +48,9 @@ SETTLE_RESTARTS = 2
 MU_STAGES = (1.0, 1e3, 1e6)
 # L-BFGS-B projected-gradient tolerance of every stage
 GRAD_TOL = 1e-9
+
+JNR_RESIDUAL_TOL = 1e-9  # jnr_feasibility: largest KL residual of a feasible restart
+JNR_DEDUP_TOL = 1e-6  # jnr_feasibility: value tuples this close (max norm) are one point
 
 
 class ConditioningError(ValueError):
@@ -97,12 +96,13 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("restarts", "max_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("kl_tol", "stop_on_loss"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        if not 0 <= self.kl_tol < math.inf:  # also rejects NaN
+            raise ValueError(f"kl_tol must be non-negative and finite, got {self.kl_tol}")
+        if self.stop_on_loss is not None and not math.isfinite(self.stop_on_loss):
+            raise ValueError(f"stop_on_loss must be finite, got {self.stop_on_loss}")
 
 
 @dataclass(frozen=True)
@@ -321,6 +321,26 @@ _OPENBLAS_NAMES = (("openblas", ""), ("openblas", "64_"),
                    ("scipy_openblas", ""), ("scipy_openblas", "64_"))
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """(set, get) thread-count calls of every OpenBLAS mapped into this process,
+    looked up once: importing this module maps every OpenBLAS a restart calls."""
+    paths = []
+    with suppress(OSError), open("/proc/self/maps") as fh:  # absent off Linux: no pin
+        paths = sorted({ln.split(None, 5)[5].strip() for ln in fh if "openblas" in ln})
+    calls = []
+    for lib in map(ctypes.CDLL, paths):
+        for prefix, suffix in _OPENBLAS_NAMES:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if get is not None:
+                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                calls.append((set_threads, get))
+                break
+    return tuple(calls)
+
+
 @contextmanager
 def _one_blas_thread():
     """Every OpenBLAS loaded in this process at one thread inside the block.
@@ -329,19 +349,7 @@ def _one_blas_thread():
     thread pool, and setting the count in the child would restart it: its
     helpers then spin on the other workers' cores.
     """
-    paths = []
-    with suppress(OSError), open("/proc/self/maps") as fh:  # absent off Linux: no pin
-        paths = sorted({ln.split(None, 5)[5].strip() for ln in fh if "openblas" in ln})
-    saved = []
-    for lib in map(ctypes.CDLL, paths):
-        for prefix, suffix in _OPENBLAS_NAMES:
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            if get is not None:
-                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                saved.append((set_threads, get()))
-                break
+    saved = [(set_threads, get()) for set_threads, get in _openblas_thread_calls()]
     for set_threads, _ in saved:
         set_threads(1)
     try:
@@ -408,7 +416,8 @@ def _best(outcomes):
 
 def optimize(n, K, ops, spec, config=None, *, start=None):
     """Multi-restart search over ``ops`` (an ErrorBasis or n-qubit Pauli
-    words); returns the best restart by loss (ties by KL).
+    words); returns the best restart by loss (ties by KL), whose summary gives
+    the result's ``kl_violation``, ``lambda_star`` and ``converged``.
 
     ``start`` (a 2^n x K matrix, e.g. the basis of a nearby code) takes the
     first restart slot: that restart descends from ``start`` plus a seeded
@@ -458,23 +467,15 @@ def optimize(n, K, ops, spec, config=None, *, start=None):
                 break
 
     best, theta, _ = _best(outcomes)
-    code = stiefel_map(theta)
-    lam = float(np.sqrt(max(best.lambda_sq, 0.0)))
-    kl = best.kl_violation
-    if isinstance(ops, ErrorBasis):
-        kl = codespace_kl_violation(code, ops)
-        if kl <= cfg.kl_tol:
-            lam = float(np.linalg.norm(signature_vector(code, ops, cfg.kl_tol).components))
-    wall_ms = int(round((time.perf_counter() - t0) * 1000))
     return OptimizationResult(
-        code=code,
-        kl_violation=kl,
-        lambda_star=lam,
+        code=stiefel_map(theta),
+        kl_violation=best.kl_violation,
+        lambda_star=float(np.sqrt(max(best.lambda_sq, 0.0))),
         final_loss=best.final_loss,
         iterations=best.iterations,
         restarts_used=len(outcomes),
-        converged=kl <= cfg.kl_tol,
-        wall_time_ms=wall_ms,
+        converged=best.kl_violation <= cfg.kl_tol,
+        wall_time_ms=int(round((time.perf_counter() - t0) * 1000)),
         stop_reason=stop_reason,
         restart_summaries=[o[0] for o in outcomes],
     )
@@ -487,23 +488,24 @@ class JNRPoint:
     hits: int
 
 
-def jnr_feasibility(operators, K, config=None, residual_tol=1e-9, dedup_tol=1e-6):
+def jnr_feasibility(operators, K, config=None):
     """Feasible tuples of the rank-K joint numerical range of ``operators``,
     an ErrorBasis or equal-length Pauli words (no 2^n x 2^n matrix is formed).
 
     Runs multi-start KL-residual minimization for P A_i P = v_i P and returns
-    the deduplicated value tuples found with residual at most ``residual_tol``.
-    The restarts run in forked workers, one per usable core, and are
-    deduplicated in seed order, so the points do not depend on the core count.
+    the value tuples found with residual at most JNR_RESIDUAL_TOL, merging
+    tuples within JNR_DEDUP_TOL (max norm) of an earlier one.  The restarts
+    run in forked workers, one per usable core, and are deduplicated in seed
+    order, so the points do not depend on the core count.
     """
     cfg = config or OptimizerConfig(restarts=200)
     action = _stacked_action(operators)
     spec = LossSpec(kind="kl_only", mu=1.0)
     points = []
     for summary, _, vals in _restarts(action.inverse.shape[1], K, action, spec, cfg):
-        if summary.kl_violation <= residual_tol:
+        if summary.kl_violation <= JNR_RESIDUAL_TOL:
             for i, p in enumerate(points):
-                if np.abs(vals - np.asarray(p.values)).max() <= dedup_tol:
+                if np.abs(vals - np.asarray(p.values)).max() <= JNR_DEDUP_TOL:
                     points[i] = JNRPoint(p.values, min(p.residual, summary.kl_violation), p.hits + 1)
                     break
             else:

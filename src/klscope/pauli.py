@@ -2,8 +2,8 @@
 
 Pauli words are stored as plain letter strings over ``IXYZ`` with qubit 1 as
 the leftmost letter (and the most significant bit of computational-basis
-indices).  Products track their scalar phase exactly as a power of i, never
-as a float.
+indices).  Phases (of a PhasedPauli, and the Y factors of a word's action)
+are held exactly as powers of i, never as floats.
 
 Operators reach the KL contraction only as Pauli words, through
 ``MarginalKernel.of_words`` (``ErrorBasis.action`` for an error basis): a
@@ -120,34 +120,16 @@ def phased_pauli_from_string(text):
     return PhasedPauli(0, PauliString(text))
 
 
-def _as_phased(p):
+def _as_word(p):
+    """The PauliString of a PhasedPauli, a PauliString or a letter string."""
     if isinstance(p, PhasedPauli):
-        return p
-    if isinstance(p, PauliString):
-        return PhasedPauli(0, p)
-    return PhasedPauli(0, pauli_from_string(p))
-
-
-def multiply(p, q):
-    """Sitewise product of two (phased) Pauli words with exact phase tracking.
-
-    A word is i^{#Y} X^x Z^z over its masks, and Z^z X^x = (-1)^{|z & x|} X^x Z^z,
-    so PQ = i^{#Y_P + #Y_Q - #Y_PQ} (-1)^{|z_P & x_Q|} X^{x_P ^ x_Q} Z^{z_P ^ z_Q}.
-    """
-    p, q = _as_phased(p), _as_phased(q)
-    if p.n != q.n:
-        raise ValueError(f"length mismatch: {p.n} vs {q.n}")
-    a, b = p.word, q.word
-    x, z = a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask
-    k = (p.phase_exp + q.phase_exp + a.y_count + b.y_count - (x & z).bit_count()
-         + 2 * (a.z_mask & b.x_mask).bit_count())
-    letters = "".join("IXZY"[(x >> s & 1) + 2 * (z >> s & 1)] for s in reversed(range(a.n)))
-    return PhasedPauli(k % 4, PauliString(letters))
+        return p.word
+    return p if isinstance(p, PauliString) else pauli_from_string(p)
 
 
 def commutes(p, q):
     """True when the two words commute (sitewise anticommutation parity even)."""
-    p, q = _as_phased(p).word, _as_phased(q).word
+    p, q = _as_word(p), _as_word(q)
     if p.n != q.n:
         raise ValueError(f"length mismatch: {p.n} vs {q.n}")
     par = bin(p.x_mask & q.z_mask).count("1") + bin(p.z_mask & q.x_mask).count("1")
@@ -287,7 +269,7 @@ def enumerate_error_basis(n, d):
 
 def apply_pauli(p, vec):
     """Apply a Pauli word to a state vector or to the columns of a matrix."""
-    p = _as_phased(p).word
+    p = _as_word(p)
     cols, coef = _signed_rows(p.x_mask, p.z_mask, p.y_count, p.n)
     v = np.asarray(vec)
     if v.ndim == 1:
@@ -297,7 +279,7 @@ def apply_pauli(p, vec):
 
 def dense_matrix(p):
     """Dense 2^n x 2^n matrix of a Pauli word (qubit 1 = most significant bit)."""
-    p = _as_phased(p).word
+    p = _as_word(p)
     if p.n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense matrix guard: n={p.n} exceeds {MAX_DENSE_QUBITS}")
     out = np.array([[1.0 + 0j]])

@@ -271,7 +271,9 @@ def test_rdm_contract_and_errors():
     (2, [1], "got 2"),
     (True, [1], "got True"),
     (0, [1, 1], r"got \[1, 1\]"),
-], ids=["negative", "past_K", "bool", "repeated_qubit"])
+    (0, [2.9], r"got \[2\.9\]"),
+    (0, [True, 3], r"got \[True, 3\]"),
+], ids=["negative", "past_K", "bool", "repeated_qubit", "float_qubit", "bool_qubit"])
 def test_rdm_rejects_bad_codeword_and_qubits(codeword, qubits, named):
     code = random_code(3, 2)
     with pytest.raises(ValueError, match=named):

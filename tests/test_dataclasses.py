@@ -9,7 +9,6 @@ from klscope.enumerators import closed_form_723, weight_enumerators
 from klscope.families import (
     appendix_b_residuals,
     cyclic_coeffs_from_lambda,
-    logical_overlaps,
     random_frame,
 )
 from klscope.optimizer import LossSpec
@@ -20,10 +19,8 @@ from klscope.stabilizer import builtin, codespace_from_stabilizer
 def _values():
     steane = codespace_from_stabilizer(builtin("steane"))
     basis = enumerate_error_basis(7, 3)
-    frame = random_frame(np.random.default_rng(0))
     return {
         "OrthoFrame": lambda: random_frame(np.random.default_rng(0)),
-        "LogicalOverlaps": lambda: logical_overlaps(frame),
         "EliminationReport": lambda: appendix_b_residuals(cyclic_coeffs_from_lambda(1.0)),
         "CodeSubspace": lambda: new_code(1, [[1, 0]]),
         "SignatureVector": lambda: signature_vector(steane, basis),

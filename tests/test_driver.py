@@ -348,11 +348,13 @@ def test_cli_rejects_bad_numeric_input(tmp_path, capsys):
     ):
         assert main(argv) == 2, argv
     capsys.readouterr()
-    # non-finite values are refused before any search, by an error naming them
+    # non-finite (and negative tolerance) values are refused before any search,
+    # by an error naming them
     for argv, name in (
         (["optimize", "--mu", "nan"], "mu"),
         (["optimize", "--mu", "inf"], "mu"),
         (["optimize", "--kl-tol", "nan"], "kl_tol"),
+        (["optimize", "--kl-tol", "-1"], "kl_tol"),
         (["optimize", "--mode", "target_length", "--lambda-target", "nan"], "lambda_target"),
         (["optimize", "--mode", "kl_only", "--lambda-target", "inf"], "lambda_target"),
         (["sweep", "--grid", "0.5,nan"], "grid"),
@@ -367,6 +369,17 @@ def test_cli_rejects_bad_numeric_input(tmp_path, capsys):
         argv = [*argv, "--n", "2", "--K", "1", "--d", "2", "--restarts", "1"]
         assert main(argv) == 2, argv
         assert name in capsys.readouterr().err, argv
+
+
+def test_verify_rejects_negative_tolerance(tmp_path, capsys):
+    # a negative tolerance used to call Steane invalid (exit 1)
+    code_path = tmp_path / "steane.json"
+    assert main(["construct", "stabilizer", "--name", "steane", "--out", str(code_path)]) == 0
+    with pytest.raises(ValueError, match="tol"):
+        verify_code(construct_code("stabilizer", name="steane")[0], tol=-1.0)
+    capsys.readouterr()
+    assert main(["verify", str(code_path), "--kl-tol", "-1"]) == 2
+    assert "tol must be non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, name", [
@@ -385,6 +398,7 @@ def test_cli_rejects_bad_numeric_input(tmp_path, capsys):
     ({"n": 2, "K": 1, "mode": "target_length"}, "lambda_target"),
     ({"n": 2, "K": 1, "mode": "target_length", "lambda_target": float("nan")}, "lambda_target"),
     ({"n": 2, "K": 1, "d": 2, "restarts": 0}, "restarts"),
+    ({"n": 2, "K": 1, "d": 2, "kl_tol": -1.0}, "kl_tol"),
 ])
 def test_cli_optimize_config_rejected_naming_the_field(tmp_path, capsys, config, name):
     path = tmp_path / "cfg.json"

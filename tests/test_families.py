@@ -28,7 +28,6 @@ from klscope.families import (
     frame_with_e,
     hamiltonian_ground_check,
     lambda_star_sq_623,
-    logical_overlaps,
     perm_code_723,
     predicted_signature_623,
     random_frame,
@@ -331,18 +330,23 @@ def test_two_rdm_form_623_family():
 
 
 def test_logical_overlap_identities():
+    # code_623's codewords are sum_i |x_i>|S_i> and sum_i |y_i>|S_i>: their
+    # qubit-1 spinors, read back on the S basis, overlap as the frame says
+    s_states = np.array(s_basis_623())
     for _ in range(5):
         fr = random_frame(np_rng)
-        M = logical_overlaps(fr)
-        assert np.abs(np.diag(M.Mxy)).max() <= 1e-12
-        assert np.abs(np.diag(M.Mxx) - np.diag(M.Myy)).max() <= 1e-12
-        assert np.abs(M.Mxy + M.Mxy.T).max() <= 1e-12
-        assert np.abs(M.Mxx - M.Myy.T).max() <= 1e-12
+        basis = code_623(fr).basis
+        xs, ys = (s_states.conj() @ basis[:, k].reshape(2, 32).T for k in (0, 1))
+        Mxx, Mxy, Myy = xs.conj() @ xs.T, xs.conj() @ ys.T, ys.conj() @ ys.T
+        assert np.abs(np.diag(Mxy)).max() <= 1e-12
+        assert np.abs(np.diag(Mxx) - np.diag(Myy)).max() <= 1e-12
+        assert np.abs(Mxy + Mxy.T).max() <= 1e-12
+        assert np.abs(Mxx - Myy.T).max() <= 1e-12
         gam = np.concatenate([fr.a + 1j * fr.b, fr.c + 1j * fr.d])
         for i in range(5):
             for j in range(5):
                 expect = gam[i].conj() * gam[j] + gam[i + 5].conj() * gam[j + 5]
-                assert abs(M.Mxx[i, j] - expect) <= 1e-12
+                assert abs(Mxx[i, j] - expect) <= 1e-12
 
 
 def test_so4_correspondences():
@@ -449,17 +453,19 @@ def test_cyclic_code_grid():
 
 
 def test_cyclic_branches_grouping():
-    from klscope.families import cyclic_branches
+    keys = [(b1, b3) for b1 in (-1, 1) for b3 in (-1, 1)]
+
+    def shared(lam):  # the pairs of sign branches whose codes have one projector
+        proj = {k: cyclic_code_723(cyclic_coeffs_from_lambda(lam, *k)).projector for k in keys}
+        return {(k, m) for k in keys for m in keys
+                if k < m and np.abs(proj[k] - proj[m]).max() <= 1e-10}
 
     # generic lambda*: c1 != 0 and the two c3 roots differ -> four distinct codes
-    _, groups = cyclic_branches(1.0)
-    assert sorted(len(g) for g in groups) == [1, 1, 1, 1]
+    assert shared(1.0) == set()
     # lambda* = 0: c1 = c4 = 0, the c1 sign is irrelevant -> two pairs
-    _, groups = cyclic_branches(0.0)
-    assert sorted(len(g) for g in groups) == [2, 2]
+    assert shared(0.0) == {((-1, -1), (1, -1)), ((-1, 1), (1, 1))}
     # lambda* = sqrt(7): the c3 discriminant closes -> branches pair up over c3
-    _, groups = cyclic_branches(SQRT7)
-    assert sorted(len(g) for g in groups) == [2, 2]
+    assert shared(SQRT7) == {((-1, -1), (-1, 1)), ((1, -1), (1, 1))}
 
 
 def test_cyclic_code_rejects_bad_coefficients():

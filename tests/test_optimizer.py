@@ -107,6 +107,23 @@ def test_warm_restart_runs_on_one_blas_thread():
     assert after == before
 
 
+def test_blas_pin_reads_the_maps_once(monkeypatch):
+    reads = []
+
+    def counting_open(path, *args, **kwargs):
+        reads.append(path)
+        return open(path, *args, **kwargs)
+
+    optimizer._openblas_thread_calls.cache_clear()
+    monkeypatch.setattr(optimizer, "open", counting_open, raising=False)
+    before = [get() for _, get in optimizer._openblas_thread_calls()]
+    for _ in range(2):
+        with optimizer._one_blas_thread():
+            assert all(get() == 1 for _, get in optimizer._openblas_thread_calls())
+    assert reads == ["/proc/self/maps"]
+    assert [get() for _, get in optimizer._openblas_thread_calls()] == before
+
+
 def test_stiefel_map_fixes_isometry():
     code = codespace_from_stabilizer(builtin("steane"))
     out = stiefel_map(code.basis)
@@ -323,11 +340,10 @@ def test_jnr_full_rank_trace_average():
 def test_jnr_sees_the_restarts_of_a_kl_only_search():
     ops = [pauli_from_string(w) for w in ("XI", "XZ", "YI", "YZ", "ZI")]
     cfg = OptimizerConfig(seed=5, restarts=25)
-    residual_tol = 1e-9
-    points = jnr_feasibility(ops, 2, cfg, residual_tol=residual_tol)
+    points = jnr_feasibility(ops, 2, cfg)
     res = optimize(2, 2, ops, LossSpec("kl_only", mu=1.0), cfg)
     assert [s.seed_index for s in res.restart_summaries] == list(range(25))
-    hits = sum(s.kl_violation <= residual_tol for s in res.restart_summaries)
+    hits = sum(s.kl_violation <= optimizer.JNR_RESIDUAL_TOL for s in res.restart_summaries)
     assert sum(p.hits for p in points) == hits
     assert min(p.residual for p in points) == min(s.kl_violation for s in res.restart_summaries)
 
@@ -337,6 +353,16 @@ def test_config_rejects_empty_budgets():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError, match="max_iters"):
         OptimizerConfig(max_iters=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kl_tol", -1.0), ("kl_tol", -1e-300),
+    ("restarts", 2.5), ("restarts", True), ("restarts", "3"),
+    ("max_iters", 100.0), ("max_iters", False),
+])
+def test_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: value})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -379,3 +405,24 @@ def test_mismatched_operators_rejected_on_entry(monkeypatch):
             loss(random_theta(2 ** n, 2), ops, spec)
         with pytest.raises(ValueError, match=match):
             gradient(random_theta(2 ** n, 2), ops, spec)
+
+
+def _search_answer(ops, seed=11):
+    res = optimize(5, 2, ops, LossSpec("kl_only", mu=1.0), OptimizerConfig(seed=seed, restarts=2))
+    return (res.kl_violation, res.lambda_star, res.converged, res.code.basis.tobytes(),
+            res.restart_summaries)
+
+
+def test_search_answer_comes_from_its_restarts(monkeypatch):
+    basis = enumerate_error_basis(5, 3)
+    as_words = _search_answer([op.letters for op in basis])
+
+    def no_second_pass(*args):
+        raise AssertionError("optimize contracted the KL tensor after its restarts")
+
+    monkeypatch.setattr(optimizer, "codespace_kl_violation", no_second_pass)
+    monkeypatch.setattr(optimizer, "signature_vector", no_second_pass)
+    as_basis = _search_answer(basis)
+    assert as_basis == as_words
+    best = min(as_basis[4], key=lambda s: (s.final_loss, s.kl_violation))
+    assert as_basis[:2] == (best.kl_violation, np.sqrt(best.lambda_sq))
