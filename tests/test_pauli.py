@@ -42,6 +42,48 @@ def test_phased_parse_roundtrip():
         assert str(g) == (text if text[0] in "+-" else "+" + text)
 
 
+SINGLE_QUBIT_PRODUCTS = {  # ab = phase * c
+    ("X", "Y"): (1j, "Z"), ("Y", "Z"): (1j, "X"), ("Z", "X"): (1j, "Y"),
+    ("Y", "X"): (-1j, "Z"), ("Z", "Y"): (-1j, "X"), ("X", "Z"): (-1j, "Y"),
+}
+
+
+def letter_product(a, b):
+    if a == b:
+        return 1, "I"
+    if "I" in (a, b):
+        return 1, a if b == "I" else b
+    return SINGLE_QUBIT_PRODUCTS[a, b]
+
+
+def word_product(a, b):
+    # letter-wise: the word of PQ and its phase in {1, i, -1, -i}
+    phase, letters = 1, ""
+    for x, y in zip(a, b):
+        f, c = letter_product(x, y)
+        phase, letters = phase * f, letters + c
+    return phase, letters
+
+
+def assert_product_against_dense(a, b):
+    p, q = pauli_from_string(a), pauli_from_string(b)
+    phase, letters = word_product(a, b)
+    rhs = dense_matrix(p) @ dense_matrix(q)
+    assert np.abs(phase * dense_matrix(pauli_from_string(letters)) - rhs).max() == 0.0
+    assert np.abs(apply_pauli(p, dense_matrix(q)) - rhs).max() == 0.0
+
+
+def test_single_qubit_products_against_dense():
+    for a, b in itertools.product("IXYZ", repeat=2):
+        assert_product_against_dense(a, b)
+
+
+def test_product_phase_matches_dense_up_to_n6():
+    for _ in range(50):
+        n = int(np_rng.integers(1, 7))
+        assert_product_against_dense(random_word(n), random_word(n))
+
+
 def test_commutation_phase_relation():
     # PQ = QP exactly when the words commute, and PQ = -QP otherwise
     pairs = list(itertools.product("IXYZ", repeat=2))
