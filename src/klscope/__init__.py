@@ -63,7 +63,6 @@ from .optimizer import (
 from .pauli import (
     ErrorBasis,
     PauliString,
-    PhasedPauli,
     dense_matrix,
     enumerate_error_basis,
     pauli_from_string,

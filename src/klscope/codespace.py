@@ -6,10 +6,10 @@ A code is a K-dimensional subspace of an n-qubit Hilbert space, held as a
 deduplicated real coefficients, its norm lambda*, reduced density matrices,
 purities, and local-unitary images.
 
-The KL tensor comes from one contraction, ``kl_block``: the code is gathered
-into one block per (d-1)-qubit subset, one batched matmul forms the subsets'
-Gram blocks, and the error basis's MarginalKernel reads the values off them
-with one sparse matrix; ``kl_adjoint`` is the same map transposed, for gradients.
+The KL tensor comes from one contraction, ``MarginalKernel.values`` of the
+error basis's kernel: the code is gathered into one block per (d-1)-qubit
+subset, one batched matmul forms the subsets' Gram blocks, and one sparse
+matrix reads the values off them.
 """
 
 import json
@@ -101,29 +101,6 @@ class SignatureVector:
         return self.components[self.basis.index_of[str(word)]]
 
 
-def kl_block(psi, kernel):
-    """(Y, values) for an isometry psi (dim x K) and a MarginalKernel: Y are
-    psi's subset blocks, shape (S, R, D * K), and values[a, i, j] =
-    <psi_i|O_a|psi_j> is ``kernel.readoff`` times the blocks' Grams, formed
-    by one batched matmul."""
-    S, R, D = kernel.index.shape
-    K = psi.shape[1]
-    Y = np.take(psi, kernel.index, axis=0).reshape(S, R, D * K)
-    gram = np.matmul(Y.conj().transpose(0, 2, 1), Y)
-    gram = gram.reshape(S, D, K, D, K).transpose(0, 1, 3, 2, 4).reshape(S * D * D, K * K)
-    return Y, (kernel.readoff @ gram).reshape(-1, K, K)
-
-
-def kl_adjoint(Y, M, kernel):
-    """sum_a O_a psi M_a for Y = kl_block(psi, kernel)[0] and (n_ops, K, K)
-    M: ``kernel.readoff_t`` times M, one batched matmul, the inverse gather."""
-    S, R, D = kernel.index.shape
-    K = M.shape[1]
-    blocks = (kernel.readoff_t @ M.reshape(-1, K * K)).reshape(S, D, D, K, K)
-    blocks = blocks.transpose(0, 2, 3, 1, 4).reshape(S, D * K, D * K)
-    return np.take(np.matmul(Y, blocks).reshape(-1, K), kernel.inverse, axis=0).sum(0)
-
-
 def kl_residual(values):
     """KL residual of a (n_ops, K, K) block stack.
 
@@ -145,7 +122,7 @@ def kl_tensor(code, basis):
     over the error basis."""
     if basis.n != code.n:
         raise ValueError(f"basis on {basis.n} qubits, code on {code.n}")
-    return kl_block(code.basis, basis.action)[1]
+    return basis.action.values(code.basis)[1]
 
 
 def kl_violation(code, basis):
@@ -157,8 +134,10 @@ def signature_vector(code, basis, tol=DEFAULT_KL_TOL):
     """Signature vector of a valid code: one real mean-diagonal per word.
 
     Raises NotACodeError (carrying the violation) when the KL residual
-    exceeds ``tol``.
+    exceeds ``tol``, which must be non-negative and finite.
     """
+    if not 0 <= tol < np.inf:  # also rejects NaN
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
     values = kl_tensor(code, basis)
     violation, mean, _ = kl_residual(values)
     if violation > tol:

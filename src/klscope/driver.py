@@ -190,7 +190,7 @@ def construct_code(kind, **kwargs):
         stab = builtin(name) if name else parse_generators(kwargs.get("rows") or [])
         return codespace_from_stabilizer(stab), {
             "family": "stabilizer",
-            "generators": [str(g) for g in stab.generators],
+            "generators": list(stab.generators),
         }
     raise ValueError(f"unknown constructor {kind!r}")
 

@@ -4,8 +4,8 @@ Candidate bases are parameterized by the polar map f(theta) =
 theta (theta^dag theta)^{-1/2}; the losses combine the KL residual with a
 penalty weight mu and a length objective (minimize, maximize, hit a target
 length, or hit a target vector).  Gradients are analytic: the KL values
-back-propagate through ``codespace.kl_adjoint`` (the transposed subset
-read-off of ``kl_block``), and the chain rule runs through the
+back-propagate through ``MarginalKernel.adjoint`` (the transposed subset
+read-off of ``MarginalKernel.values``), and the chain rule runs through the
 eigendecomposition of the K x K Gram matrix.  Each restart
 descends with L-BFGS (gradient-only quasi-Newton) in three stages of
 penalty weight MU_STAGES = (1, 1e3, 1e6) x mu, each run to the gradient
@@ -14,15 +14,18 @@ of the O(1/mu^2) single-stage penalty floor.
 
 The restarts of a cold search are independent, each drawn from its own
 SeedSequence child, so they run in forked worker processes, one per usable
-core (``os.sched_getaffinity``).  Their outcomes are consumed in seed order
-and every stop decision is taken on them in that order, so results are
-byte-identical for any core count; ``taskset -c 0`` runs them serially.
+core (``os.sched_getaffinity``), each owning one end of a duplex pipe.
+Their outcomes are consumed in seed order and every stop decision is taken
+on them in that order, so results are byte-identical for any core count;
+``taskset -c 0`` runs them serially.  Stopping kills the workers: none holds
+a lock the parent then waits on.
 """
 
 import ctypes
 import functools
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import time
@@ -32,10 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .codespace import CodeSubspace, kl_adjoint, kl_block, kl_residual
+from .codespace import CodeSubspace, kl_residual
 # not called here: benchmarks/layers.py wraps these two names to count KL calls
 from .codespace import kl_violation as codespace_kl_violation, signature_vector  # noqa: F401
-from .pauli import ErrorBasis, MarginalKernel, pauli_from_string
+from .pauli import ErrorBasis, MarginalKernel
 
 LOSS_KINDS = ("kl_only", "minimize_length", "maximize_length", "target_length", "target_vector")
 
@@ -95,10 +98,10 @@ class OptimizerConfig:
     stop_on_loss: float | None = None  # end restarts early once reached
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters"):
+        for name, least in (("seed", 0), ("restarts", 1), ("max_iters", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if not 0 <= self.kl_tol < math.inf:  # also rejects NaN
             raise ValueError(f"kl_tol must be non-negative and finite, got {self.kl_tol}")
         if self.stop_on_loss is not None and not math.isfinite(self.stop_on_loss):
@@ -137,17 +140,9 @@ class OptimizationResult:
 def _stacked_action(ops, m=None):
     """MarginalKernel of an ErrorBasis or of equal-length Pauli words (letter
     strings or PauliStrings); with ``m``, checked to act on m dimensions."""
-    if isinstance(ops, ErrorBasis):
-        action = ops.action
-    else:
-        words = [pauli_from_string(w) for w in ops]
-        if len({w.n for w in words}) != 1:
-            raise ValueError("need one or more Pauli words of equal length, got lengths "
-                             f"{sorted({w.n for w in words})}")
-        action = MarginalKernel.of_words(words)
-    dim = action.inverse.shape[1]
-    if m is not None and m != dim:
-        raise ValueError(f"operators act on {dim.bit_length() - 1} qubits, "
+    action = ops.action if isinstance(ops, ErrorBasis) else MarginalKernel(ops)
+    if m is not None and m != action.dim:
+        raise ValueError(f"operators act on {action.dim.bit_length() - 1} qubits, "
                          f"the search space on {math.log2(m):g}")
     return action
 
@@ -195,7 +190,7 @@ def _evaluate(theta, action, spec, mu, want_grad):
     """Loss (and gradient, KL residual, length^2) at theta."""
     psi, R, U, s = _polar(theta)
     K = psi.shape[1]
-    Y, A = kl_block(psi, action)
+    Y, A = action.values(psi)
     kl, mean, spread = kl_residual(A)
     length_sq = float(mean @ mean)
 
@@ -215,7 +210,7 @@ def _evaluate(theta, action, spec, mu, want_grad):
     M *= mu_eff
     M[:, idx, idx] = 2 * mu_eff * spread + 2 * g[:, None]
 
-    g_psi = kl_adjoint(Y, M, action)
+    g_psi = action.adjoint(Y, M)
     T = theta.conj().T @ g_psi
     denom = -(s[:, None] * s[None, :]) * (s[:, None] + s[None, :])
     T_tilde = U.conj().T @ T @ U
@@ -313,8 +308,6 @@ def _usable_cores():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-_worker_action = None  # the MarginalKernel a pool worker runs its restarts with
-
 # name prefix and suffix of the thread-count calls of a system OpenBLAS and of
 # the builds numpy (64-bit integers) and scipy ship
 _OPENBLAS_NAMES = (("openblas", ""), ("openblas", "64_"),
@@ -359,26 +352,60 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def _init_worker(action):
-    global _worker_action
-    _worker_action = action  # inherited through fork, not pickled
+def _worker(conn, m, K, action, spec, cfg):
+    """Run each seed that arrives on ``conn`` and send back its outcome, or
+    the exception it raised; the parent kills the worker when done."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    while True:
+        r, seq = conn.recv()
+        try:
+            outcome = _run_restart(r, seq, m, K, action, spec, cfg)
+        except Exception as exc:  # re-raised in the parent
+            outcome = exc
+        conn.send(outcome)
 
 
-def _pooled_restart(task):
-    seed_index, seq, m, K, spec, cfg = task
-    return _run_restart(seed_index, seq, m, K, _worker_action, spec, cfg)
-
-
-@contextmanager
-def _restart_pool(action, workers):
-    """A pool of ``workers`` forked processes that run restarts with
-    ``action``.  Leaving the block terminates them, so it never waits for a
-    restart whose outcome is dropped and no worker outlives it, also on an
-    exception or Ctrl-C."""
+def _forked_restarts(m, K, action, spec, cfg, seeds, workers):
+    """The outcomes of ``seeds`` in seed order, run by ``workers`` forked
+    processes that each own one end of a duplex pipe and take the next seed
+    as soon as they are free.  The kernel reaches them through fork, never
+    pickled.  Closing kills and joins every worker, also on an exception or
+    Ctrl-C; a worker's exception is re-raised here, and a dead worker's pipe
+    raises EOFError."""
     fork = multiprocessing.get_context("fork")
-    with fork.Pool(workers, _init_worker, (action,)) as pool:
-        yield pool
+    procs = {}  # parent end of the pipe -> worker
+    try:
+        for _ in range(workers):
+            conn, child = fork.Pipe()
+            proc = fork.Process(target=_worker, args=(child, m, K, action, spec, cfg), daemon=True)
+            proc.start()
+            procs[conn] = proc
+            child.close()
+        pending, running, done = iter(seeds), {}, {}  # running: pipe -> seed index
+
+        def feed(conn):
+            task = next(pending, None)
+            if task is not None:
+                conn.send(task)
+                running[conn] = task[0]
+
+        for conn in procs:
+            feed(conn)
+        for r in range(len(seeds)):
+            while r not in done:
+                for conn in multiprocessing.connection.wait(list(running)):
+                    outcome = conn.recv()
+                    if isinstance(outcome, Exception):
+                        raise outcome
+                    done[running.pop(conn)] = outcome
+                    feed(conn)
+            yield done.pop(r)
+    finally:
+        for proc in procs.values():
+            proc.kill()
+        for conn, proc in procs.items():
+            proc.join()
+            conn.close()
 
 
 def _restarts(m, K, action, spec, cfg, start=None):
@@ -386,12 +413,11 @@ def _restarts(m, K, action, spec, cfg, start=None):
 
     ``start`` (if given) takes the first slot, and the whole search then runs
     in this process: it usually ends within 1 + SETTLE_RESTARTS restarts,
-    fewer than forked workers pay for.  A cold search runs in a pool of forked
-    workers, one per usable core, each taking the next restart as soon as it
-    is free.  Either way OpenBLAS runs one thread until the generator closes
-    (a restart's calls are too small to gain from more, and an idle helper
-    spins beside it).  Closing drops the outcomes computed ahead of the
-    consumer and terminates the workers."""
+    fewer than forked workers pay for.  A cold search runs in forked workers,
+    one per usable core (``_forked_restarts``).  Either way OpenBLAS runs one
+    thread until the generator closes (a restart's calls are too small to
+    gain from more, and an idle helper spins beside it).  Closing drops the
+    outcomes computed ahead of the consumer and kills the workers."""
     if not 1 <= K <= m:  # else every start is rank-deficient and the redraw never ends
         raise ValueError(f"need 1 <= K <= {m}, got {K}")
     seeds = list(enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)))
@@ -401,8 +427,7 @@ def _restarts(m, K, action, spec, cfg, start=None):
             for r, seq in seeds:
                 yield _run_restart(r, seq, m, K, action, spec, cfg, start if r == 0 else None)
             return
-        with _restart_pool(action, workers) as pool:
-            yield from pool.imap(_pooled_restart, [(r, seq, m, K, spec, cfg) for r, seq in seeds])
+        yield from _forked_restarts(m, K, action, spec, cfg, seeds, workers)
 
 
 def _best(outcomes):
@@ -502,7 +527,7 @@ def jnr_feasibility(operators, K, config=None):
     action = _stacked_action(operators)
     spec = LossSpec(kind="kl_only", mu=1.0)
     points = []
-    for summary, _, vals in _restarts(action.inverse.shape[1], K, action, spec, cfg):
+    for summary, _, vals in _restarts(action.dim, K, action, spec, cfg):
         if summary.kl_violation <= JNR_RESIDUAL_TOL:
             for i, p in enumerate(points):
                 if np.abs(vals - np.asarray(p.values)).max() <= JNR_DEDUP_TOL:

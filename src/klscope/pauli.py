@@ -2,15 +2,16 @@
 
 Pauli words are stored as plain letter strings over ``IXYZ`` with qubit 1 as
 the leftmost letter (and the most significant bit of computational-basis
-indices).  Phases (of a PhasedPauli, and the Y factors of a word's action)
-are held exactly as powers of i, never as floats.
+indices).  The Y factors of a word's action are held exactly as powers of
+i, never as floats.
 
-Operators reach the KL contraction only as Pauli words, through
-``MarginalKernel.of_words`` (``ErrorBasis.action`` for an error basis): a
-word of weight < d lies on a (d-1)-qubit subset S, so <psi_i|O|psi_j> is a
-linear read-off of S's Gram block (the subset-marginal form of Rains' weight
-enumerators), and the read-off of all words is one sparse matrix.  No 2^n x
-2^n matrix is formed; ``dense_matrix`` (a Kronecker product) is the
+Operators reach the KL contraction only as Pauli words, through a
+``MarginalKernel`` (``ErrorBasis.action`` for an error basis): a word of
+weight < d lies on a (d-1)-qubit subset S, so <psi_i|O|psi_j> is a linear
+read-off of S's Gram block (the subset-marginal form of Rains' weight
+enumerators), and the read-off of all words is one sparse matrix.  The
+kernel owns that contraction (``values``) and its adjoint (``adjoint``).  No
+2^n x 2^n matrix is formed; ``dense_matrix`` (a Kronecker product) is the
 independent reference the tests compare against.
 """
 
@@ -25,7 +26,6 @@ PAULI_LETTERS = "IXYZ"
 
 # i^k for k = 0..3, as exact complex literals
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
-PHASE_LABELS = ("+", "+i", "-", "-i")
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -84,52 +84,14 @@ class PauliString:
         return self.letters
 
 
-@dataclass(frozen=True)
-class PhasedPauli:
-    """A Pauli word with an exact scalar phase i^phase_exp."""
-
-    phase_exp: int
-    word: PauliString
-
-    def __post_init__(self):
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
-
-    @property
-    def phase(self):
-        return PHASES[self.phase_exp]
-
-    @property
-    def n(self):
-        return self.word.n
-
-    def __str__(self):
-        return PHASE_LABELS[self.phase_exp] + self.word.letters
-
-
 def pauli_from_string(text):
-    """Parse a letter string such as ``"YIZXXY"`` into a PauliString."""
-    return PauliString(str(text))
-
-
-def phased_pauli_from_string(text):
-    """Parse an optional phase prefix (+, +i, -, -i) followed by letters."""
-    text = str(text).replace("−", "-")  # unicode minus
-    for k, label in sorted(enumerate(PHASE_LABELS), key=lambda t: -len(t[1])):
-        if text.startswith(label):
-            return PhasedPauli(k, PauliString(text[len(label):]))
-    return PhasedPauli(0, PauliString(text))
-
-
-def _as_word(p):
-    """The PauliString of a PhasedPauli, a PauliString or a letter string."""
-    if isinstance(p, PhasedPauli):
-        return p.word
-    return p if isinstance(p, PauliString) else pauli_from_string(p)
+    """Parse a letter string such as ``"YIZXXY"``; a PauliString passes through."""
+    return text if isinstance(text, PauliString) else PauliString(str(text))
 
 
 def commutes(p, q):
     """True when the two words commute (sitewise anticommutation parity even)."""
-    p, q = _as_word(p), _as_word(q)
+    p, q = pauli_from_string(p), pauli_from_string(q)
     if p.n != q.n:
         raise ValueError(f"length mismatch: {p.n} vs {q.n}")
     par = bin(p.x_mask & q.z_mask).count("1") + bin(p.z_mask & q.x_mask).count("1")
@@ -160,7 +122,7 @@ class ErrorBasis:
     @cached_property
     def action(self):
         """The basis as a MarginalKernel on its (d-1)-qubit subsets."""
-        return MarginalKernel.of_words(self.ops)
+        return MarginalKernel(self.ops)
 
 
 def _place(n):
@@ -194,35 +156,26 @@ def subset_index(n, subsets):
 
 
 class MarginalKernel:
-    """Values <psi_i|O_a|psi_j> of Pauli words O_a read off subset Gram
-    blocks; ``of_words`` builds it.
+    """Values <psi_i|O_a|psi_j> of equal-length Pauli words O_a (letter
+    strings or PauliStrings), read off Gram blocks on the k-qubit subsets, k
+    the largest weight, in combination order.
 
-    ``index`` (S, R, D) gathers a dim x K isometry psi to one block
-    psi[index[s]] per subset, and ``inverse`` undoes the gather.  The values
-    are ``readoff @ G``, for G the blocks' Grams as rows (s, u, v) of K x K
-    blocks: ``readoff`` is a (n_ops, S D^2) CSR matrix, and ``readoff_t`` its
-    transpose, also CSR, reads the adjoint.  Every array is read-only.
+    ``index`` (S, R, D) gathers a ``dim`` x K isometry psi to one block
+    psi[index[s]] per subset, and ``inverse`` undoes the gather.  Each word
+    is read on the first subset that holds its support, where it is a signed
+    permutation, the rows of ``_signed_rows``: ``readoff`` is the (n_ops, S
+    D^2) CSR matrix of those rows, applied to the blocks' Grams as rows (s,
+    u, v) of K x K blocks, and ``readoff_t``, its transpose, also CSR, reads
+    the adjoint.  Every array is read-only.
     """
 
-    def __init__(self, index, readoff):
-        S, R, D = index.shape
-        self.index, self.readoff, self.readoff_t = index, readoff, readoff.T.tocsr()
-        self.inverse = np.empty((S, R * D), dtype=np.intp)
-        flat_position = np.arange(S * R * D).reshape(S, -1)
-        self.inverse[np.arange(S)[:, None], index.reshape(S, -1)] = flat_position
-        for arr in (index, self.inverse, readoff.data, readoff.indices, readoff.indptr,
-                    self.readoff_t.data, self.readoff_t.indices, self.readoff_t.indptr):
-            arr.setflags(write=False)
-
-    @classmethod
-    def of_words(cls, words):
-        """Kernel of equal-length PauliStrings on the k-qubit subsets, k the
-        largest weight, in combination order.  Each word is read on the first
-        subset that holds its support, where it is a signed permutation, the
-        rows of ``_signed_rows``."""
+    def __init__(self, words):
+        words = [pauli_from_string(w) for w in words]
+        if len({w.n for w in words}) != 1:
+            raise ValueError("need one or more Pauli words of equal length, got lengths "
+                             f"{sorted({w.n for w in words})}")
         n = words[0].n
-        letters = np.frombuffer("".join(op.letters for op in words).encode(), np.uint8)
-        letters = letters.reshape(len(words), n)
+        letters = np.frombuffer("".join(w.letters for w in words).encode(), np.uint8).reshape(-1, n)
         x, z = np.isin(letters, list(b"XY")), np.isin(letters, list(b"YZ"))
         support = (x | z) @ _place(n)
         k = int(np.bitwise_count(support).max())
@@ -233,10 +186,40 @@ class MarginalKernel:
         v, coef = _signed_rows(x[on_sub] @ _place(k), z[on_sub] @ _place(k),
                                (letters == ord("Y")).sum(1), k)
         cols = (sub[:, None] << 2 * k) + (np.arange(2 ** k) << k) + v
-        readoff = scipy.sparse.csr_array(
+        self.readoff = scipy.sparse.csr_array(
             (coef.ravel(), cols.ravel(), np.arange(0, cols.size + 1, 2 ** k)),
             shape=(len(words), len(subsets) << 2 * k))
-        return cls(subset_index(n, subsets), readoff)
+        self.readoff_t = self.readoff.T.tocsr()
+        self.index = subset_index(n, subsets)
+        S, R, D = self.index.shape
+        self.dim = R * D
+        self.inverse = np.empty((S, self.dim), dtype=np.intp)
+        flat_position = np.arange(S * self.dim).reshape(S, -1)
+        self.inverse[np.arange(S)[:, None], self.index.reshape(S, -1)] = flat_position
+        for arr in (self.index, self.inverse, self.readoff.data, self.readoff.indices,
+                    self.readoff.indptr, self.readoff_t.data, self.readoff_t.indices,
+                    self.readoff_t.indptr):
+            arr.setflags(write=False)
+
+    def values(self, psi):
+        """(Y, values) for a ``dim`` x K isometry psi: Y are psi's subset
+        blocks, shape (S, R, D * K), and values[a, i, j] = <psi_i|O_a|psi_j>
+        is ``readoff`` times the blocks' Grams, formed by one batched matmul."""
+        S, R, D = self.index.shape
+        K = psi.shape[1]
+        Y = np.take(psi, self.index, axis=0).reshape(S, R, D * K)
+        gram = np.matmul(Y.conj().transpose(0, 2, 1), Y)
+        gram = gram.reshape(S, D, K, D, K).transpose(0, 1, 3, 2, 4).reshape(S * D * D, K * K)
+        return Y, (self.readoff @ gram).reshape(-1, K, K)
+
+    def adjoint(self, Y, M):
+        """sum_a O_a psi M_a for Y = values(psi)[0] and (n_ops, K, K) M:
+        ``readoff_t`` times M, one batched matmul, the inverse gather."""
+        S, R, D = self.index.shape
+        K = M.shape[1]
+        blocks = (self.readoff_t @ M.reshape(-1, K * K)).reshape(S, D, D, K, K)
+        blocks = blocks.transpose(0, 2, 3, 1, 4).reshape(S, D * K, D * K)
+        return np.take(np.matmul(Y, blocks).reshape(-1, K), self.inverse, axis=0).sum(0)
 
 
 @lru_cache(maxsize=None)
@@ -269,7 +252,7 @@ def enumerate_error_basis(n, d):
 
 def apply_pauli(p, vec):
     """Apply a Pauli word to a state vector or to the columns of a matrix."""
-    p = _as_word(p)
+    p = pauli_from_string(p)
     cols, coef = _signed_rows(p.x_mask, p.z_mask, p.y_count, p.n)
     v = np.asarray(vec)
     if v.ndim == 1:
@@ -279,7 +262,7 @@ def apply_pauli(p, vec):
 
 def dense_matrix(p):
     """Dense 2^n x 2^n matrix of a Pauli word (qubit 1 = most significant bit)."""
-    p = _as_word(p)
+    p = pauli_from_string(p)
     if p.n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense matrix guard: n={p.n} exceeds {MAX_DENSE_QUBITS}")
     out = np.array([[1.0 + 0j]])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codespace import CodeSubspace, orthonormalize
-from .pauli import apply_pauli, commutes, phased_pauli_from_string
+from .pauli import apply_pauli, commutes, pauli_from_string
 
 # generator tables for the named built-in codes
 BUILTIN_GENERATORS = {
@@ -49,7 +49,7 @@ _PROJECTION_SEED = 9705052
 @dataclass(frozen=True)
 class StabilizerCode:
     n: int
-    generators: tuple  # PhasedPauli with phase +1 or -1
+    generators: tuple  # signed words such as "+XZZXI" and "-ZI"
 
     @property
     def K(self):
@@ -57,10 +57,13 @@ class StabilizerCode:
 
 
 def _parse_row(row):
-    g = phased_pauli_from_string("".join(str(row).split()))
-    if g.phase_exp % 2 != 0:
-        raise ValueError(f"generator phase must be +1 or -1, got {g}")
-    return g
+    """A generator row, blanks ignored, as a signed word: an optional sign
+    (+, - or the unicode minus) before its letters, + when absent."""
+    text = "".join(str(row).split()).replace("\u2212", "-")
+    signed = text[:1] in ("+", "-")
+    if signed and text[1:2] == "i":
+        raise ValueError(f"generator phase must be +1 or -1, got {text}")
+    return (text[0] if signed else "+") + pauli_from_string(text[signed:]).letters
 
 
 def _gf2_rank(rows_bits):
@@ -80,17 +83,16 @@ def parse_generators(rows):
     gens = [_parse_row(r) for r in rows]
     if not gens:
         raise ValueError("no generators given")
-    n = gens[0].n
-    for g in gens[1:]:
-        if g.n != n:
-            raise ValueError(f"generator length mismatch: {g} has n={g.n}, expected {n}")
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            if not commutes(gens[a].word, gens[b].word):
-                raise ValueError(
-                    f"generators anticommute: {gens[a].word} and {gens[b].word}"
-                )
-    bits = [(g.word.x_mask << n) | g.word.z_mask for g in gens]
+    words = [pauli_from_string(g[1:]) for g in gens]
+    n = words[0].n
+    for g, w in zip(gens[1:], words[1:]):
+        if w.n != n:
+            raise ValueError(f"generator length mismatch: {g} has n={w.n}, expected {n}")
+    for a in range(len(words)):
+        for b in range(a + 1, len(words)):
+            if not commutes(words[a], words[b]):
+                raise ValueError(f"generators anticommute: {words[a]} and {words[b]}")
+    bits = [(w.x_mask << n) | w.z_mask for w in words]
     if _gf2_rank(bits) < len(gens):
         raise ValueError("generators are dependent over GF(2)")
     return StabilizerCode(n=n, generators=tuple(gens))
@@ -99,7 +101,7 @@ def parse_generators(rows):
 def _project(code, block):
     """prod_g (I + g)/2 applied to the columns of ``block``."""
     for g in code.generators:
-        block = (block + g.phase.real * apply_pauli(g.word, block)) / 2
+        block = (block + (-1.0 if g[0] == "-" else 1.0) * apply_pauli(g[1:], block)) / 2
     return block
 
 

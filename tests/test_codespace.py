@@ -9,8 +9,6 @@ from klscope.codespace import (
     apply_local_unitary,
     code_from_json,
     code_to_json,
-    kl_adjoint,
-    kl_block,
     kl_tensor,
     kl_violation,
     lambda_star,
@@ -160,18 +158,23 @@ def test_word_kernel_matches_direct_contraction():
         ["Y", "I", "Z"],
     ]
     for words in cases:
-        kernel = MarginalKernel.of_words([pauli_from_string(w) for w in words])
+        kernel = MarginalKernel(words)
         mats = np.array([dense_matrix(pauli_from_string(w)) for w in words])
         K = min(2, mats.shape[1])
         psi = haar_unitary(mats.shape[1])[:, :K]
         shape = (len(mats), K, K)
         M = np_rng.standard_normal(shape) + 1j * np_rng.standard_normal(shape)
-        Y, values = kl_block(psi, kernel)
+        Y, values = kernel.values(psi)
+        assert kernel.dim == mats.shape[1]
         assert np.abs(values - psi.conj().T @ mats @ psi).max() <= 1e-12
-        assert np.abs(kl_adjoint(Y, M, kernel) - (mats @ psi @ M).sum(0)).max() <= 1e-12
+        assert np.abs(kernel.adjoint(Y, M) - (mats @ psi @ M).sum(0)).max() <= 1e-12
     # three-qubit words of weight at most two: pairs, not one 8-dim block
     words = [pauli_from_string(w) for w in cases[0]]
-    assert MarginalKernel.of_words(words).index.shape == (3, 2, 4)
+    assert MarginalKernel(words).index.shape == (3, 2, 4)
+    for words, match in (([], r"got lengths \[\]"), (["XI", "XIZ"], r"got lengths \[2, 3\]"),
+                         (["XQ"], "invalid Pauli letter 'Q' at position 2")):
+        with pytest.raises(ValueError, match=match):
+            MarginalKernel(words)
 
 
 def test_cached_kernel_is_read_only():
@@ -216,6 +219,14 @@ def test_signature_vector_requires_valid_code():
     with pytest.raises(NotACodeError) as exc:
         signature_vector(code, enumerate_error_basis(3, 3))
     assert exc.value.violation >= 0.5
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_signature_vector_rejects_bad_tolerance(tol):
+    # a NaN tolerance used to pass every subspace, a negative one to fail every code
+    span = new_code(5, np.eye(32)[:2])
+    with pytest.raises(ValueError, match="tol must be non-negative and finite"):
+        signature_vector(span, enumerate_error_basis(5, 3), tol=tol)
 
 
 def test_signature_examples():

@@ -27,7 +27,7 @@ def _values():
         "WeightEnumerator": lambda: weight_enumerators(steane),
         "WeightEnumerator (closed form)": lambda: closed_form_723(1.0),
         "LossSpec": lambda: LossSpec("target_vector", target_vector=np.zeros(3)),
-        "MarginalKernel": lambda: MarginalKernel.of_words(basis.ops),
+        "MarginalKernel": lambda: MarginalKernel(basis.ops),
     }
 
 

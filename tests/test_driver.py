@@ -382,6 +382,16 @@ def test_verify_rejects_negative_tolerance(tmp_path, capsys):
     assert "tol must be non-negative" in capsys.readouterr().err
 
 
+def test_signature_rejects_bad_tolerance(tmp_path, capsys):
+    # a negative tolerance used to call Steane a non-code, a NaN one to accept any subspace
+    code_path = tmp_path / "steane.json"
+    assert main(["construct", "stabilizer", "--name", "steane", "--out", str(code_path)]) == 0
+    capsys.readouterr()
+    for tol in ("-1", "nan", "inf"):
+        assert main(["signature", str(code_path), "--kl-tol", tol]) == 2, tol
+        assert "tol must be non-negative and finite" in capsys.readouterr().err, tol
+
+
 @pytest.mark.parametrize("config, name", [
     ([1, 2], "JSON object"),
     ("n", "JSON object"),

@@ -359,6 +359,7 @@ def test_config_rejects_empty_budgets():
     ("kl_tol", -1.0), ("kl_tol", -1e-300),
     ("restarts", 2.5), ("restarts", True), ("restarts", "3"),
     ("max_iters", 100.0), ("max_iters", False),
+    ("seed", -3), ("seed", 1.5), ("seed", True),
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):

@@ -7,7 +7,7 @@ import signal
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -79,20 +79,41 @@ def test_results_are_byte_identical_for_one_core_and_all():
 @needs_two_cores
 def test_sweep_leaves_no_worker_behind(monkeypatch):
     seen, opened = [], []
-    pool = optimizer._restart_pool
+    run = optimizer._forked_restarts
 
-    @contextmanager
-    def watched(action, workers):
-        with pool(action, workers) as workers_pool:
-            seen.append(len(multiprocessing.active_children()))
-            opened.append(workers_pool)  # so only the block, not collection, can end them
-            yield workers_pool
+    def watched(*args):
+        with closing(run(*args)) as outcomes:
+            opened.append(outcomes)  # so only closing, not collection, can end them
+            for outcome in outcomes:
+                seen.append(len(multiprocessing.active_children()))
+                yield outcome
 
-    monkeypatch.setattr(optimizer, "_restart_pool", watched)
+    monkeypatch.setattr(optimizer, "_forked_restarts", watched)
     cfg = OptimizerConfig(seed=0, restarts=4, stop_on_loss=1e-14)
     sweep(2, 1, 2, [2.5, 0.5], config=cfg)
     assert seen[0] >= 2  # the cold first point ran in workers
     assert multiprocessing.active_children() == []
+
+
+# cold searches that hit early, so each closes its workers while some of
+# them are still running or sending an outcome
+_EARLY_STOPS = """
+from klscope.optimizer import LossSpec, OptimizerConfig, optimize
+from klscope.pauli import enumerate_error_basis
+
+spec = LossSpec("target_length", mu=1000.0, target_length=0.5 ** 0.5)
+for seed in range(200):
+    optimize(2, 1, enumerate_error_basis(2, 2), spec,
+             OptimizerConfig(seed=seed, restarts=40, stop_on_loss=1e-12))
+"""
+
+
+@needs_two_cores
+def test_early_stopped_searches_do_not_hang():
+    # a pool killed while a worker held its result queue's lock used to hang here
+    done = subprocess.run([sys.executable, "-c", _EARLY_STOPS], env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class _Stop(Exception):
