@@ -93,9 +93,6 @@ class SignatureVector:
     basis: ErrorBasis
     components: np.ndarray  # (n_ops,) real
 
-    def __len__(self):
-        return len(self.components)
-
     def component(self, word):
         """Component for a Pauli word given as letters or PauliString."""
         return self.components[self.basis.index_of[str(word)]]

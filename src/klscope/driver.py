@@ -18,6 +18,7 @@ import numpy as np
 
 from . import families
 from .codespace import (
+    DEFAULT_KL_TOL,
     apply_local_unitary,
     code_from_json,
     code_to_json,
@@ -195,7 +196,7 @@ def construct_code(kind, **kwargs):
     raise ValueError(f"unknown constructor {kind!r}")
 
 
-def verify_code(code, d=3, tol=1e-10, lu_samples=3, seed=0):
+def verify_code(code, d=3, tol=DEFAULT_KL_TOL, lu_samples=3, seed=0):
     """Re-check a code: KL residual, lambda*, enumerator identity, LU drift."""
     if not 0 <= tol < math.inf:  # also rejects NaN
         raise ValueError(f"tol must be non-negative and finite, got {tol}")
@@ -239,7 +240,7 @@ def _add_optimizer_flags(p):
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kl-tol", type=float, default=1e-10)
+    p.add_argument("--kl-tol", type=float, default=DEFAULT_KL_TOL)
 
 
 def _config_from_args(args, default_restarts, stop_on_loss=None):
@@ -485,7 +486,7 @@ def build_parser():
     p = sub.add_parser("verify", help="re-check a code JSON")
     p.add_argument("code", help="code JSON path or - for stdin")
     p.add_argument("--d", type=int, default=3)
-    p.add_argument("--kl-tol", type=float, default=1e-10)
+    p.add_argument("--kl-tol", type=float, default=DEFAULT_KL_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_verify)
@@ -498,7 +499,7 @@ def build_parser():
     p = sub.add_parser("signature", help="signature vector CSV for a code JSON")
     p.add_argument("code")
     p.add_argument("--d", type=int, default=3)
-    p.add_argument("--kl-tol", type=float, default=1e-10)
+    p.add_argument("--kl-tol", type=float, default=DEFAULT_KL_TOL)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_signature)
 

@@ -234,8 +234,6 @@ def _rot2(axis, theta):
 
 @dataclass(frozen=True)
 class So4Report:
-    generator: str
-    theta: float
     unitary: str
     projector_deviation: float
     state_deviation: float
@@ -264,13 +262,7 @@ def so4_check(frame, generator, theta):
 
     proj_dev = float(np.abs(lhs.projector - rhs.projector).max())
     state_dev = float(np.abs(lhs.basis - rhs.basis).max())
-    return So4Report(
-        generator=generator,
-        theta=float(theta),
-        unitary=unitary,
-        projector_deviation=proj_dev,
-        state_deviation=state_dev,
-    )
+    return So4Report(unitary=unitary, projector_deviation=proj_dev, state_deviation=state_dev)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +324,6 @@ class CyclicCoeffs:
     c2: float
     c3: float
     c4: float
-    branch_c1: int = -1
-    branch_c3: int = -1
 
     @property
     def as_array(self):
@@ -380,8 +370,7 @@ def cyclic_coeffs_from_lambda(lam, branch_c1=-1, branch_c3=-1):
         disc = 0.0
     c3 = 0.4 * (SQRT7 * c0 + branch_c3 * math.sqrt(disc))
     c2 = -2 * c3 + SQRT7 * c0
-    coeffs = CyclicCoeffs(c0=c0, c1=c1, c2=c2, c3=c3, c4=c4,
-                          branch_c1=branch_c1, branch_c3=branch_c3)
+    coeffs = CyclicCoeffs(c0=c0, c1=c1, c2=c2, c3=c3, c4=c4)
     residual = float(np.abs(cyclic_constraint_residuals(coeffs)).max())
     if not residual <= 1e-12:
         raise ValueError(f"cyclic coefficients miss the constraints by {residual:.3e}")
@@ -485,7 +474,6 @@ def hamiltonian_723():
 
 @dataclass(frozen=True)
 class GroundSpaceReport:
-    which: str
     ground_energy: float
     degeneracy: int
     codeword_residual: float
@@ -521,7 +509,6 @@ def hamiltonian_ground_check(which):
     else:
         ref_dev = 0.0
     return GroundSpaceReport(
-        which=which,
         ground_energy=float(ground),
         degeneracy=int(sel.sum()),
         codeword_residual=codeword_residual,

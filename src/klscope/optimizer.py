@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .codespace import CodeSubspace, kl_residual
+from .codespace import DEFAULT_KL_TOL, CodeSubspace, kl_residual
 # not called here: benchmarks/layers.py wraps these two names to count KL calls
 from .codespace import kl_violation as codespace_kl_violation, signature_vector  # noqa: F401
 from .pauli import ErrorBasis, MarginalKernel
@@ -79,10 +79,7 @@ class LossSpec:
         if self.kind == "target_vector":
             if self.target_vector is None:
                 raise ValueError("target_vector loss needs a target vector")
-            tv = self.target_vector
-            if hasattr(tv, "components"):  # accept a SignatureVector
-                tv = tv.components
-            v = np.array(tv, dtype=float)
+            v = np.array(self.target_vector, dtype=float)
             if not np.isfinite(v).all():
                 raise ValueError("target_vector must be finite")
             v.setflags(write=False)
@@ -94,7 +91,7 @@ class OptimizerConfig:
     seed: int = 0
     restarts: int = 50
     max_iters: int = 2000
-    kl_tol: float = 1e-10
+    kl_tol: float = DEFAULT_KL_TOL
     stop_on_loss: float | None = None  # end restarts early once reached
 
     def __post_init__(self):
@@ -110,12 +107,16 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class RestartSummary:
+    """A restart's end point: loss, KL residual and lambda*^2 at weight
+    ``spec.mu``, iterations of all stages, and ``grad_norm``, the norm of the
+    last stage's gradient as L-BFGS-B returned it."""
+
     seed_index: int
     final_loss: float
     kl_violation: float
     lambda_sq: float
     iterations: int
-    grad_norm: float  # stationarity of the last escalation stage
+    grad_norm: float
 
 
 @dataclass
@@ -238,8 +239,9 @@ def gradient(theta, ops, spec):
 
 
 def _descend_lbfgs(theta, action, spec, mu, cfg):
-    """One escalation stage of L-BFGS on the real-packed parameters;
-    returns the end point and the iteration count."""
+    """One escalation stage of L-BFGS on the real-packed parameters; returns
+    the end point, the iteration count and the norm of the gradient there,
+    unpacked from L-BFGS-B's own (the packing is exact)."""
     m, K = theta.shape
 
     def unpack(x):
@@ -260,7 +262,7 @@ def _descend_lbfgs(theta, action, spec, mu, cfg):
         method="L-BFGS-B",
         options=dict(maxiter=cfg.max_iters, ftol=1e-20, gtol=GRAD_TOL, maxcor=20),
     )
-    return unpack(res.x), int(res.nit)
+    return unpack(res.x), int(res.nit), float(np.linalg.norm(unpack(res.jac)))
 
 
 def _gaussian(rng, m, K):
@@ -271,7 +273,9 @@ def _run_restart(seed_index, seq, m, K, action, spec, cfg, start=None):
     """One restart from a random start, or from ``start`` nudged by
     WARM_START_NOISE (relative, Frobenius) drawn from the same seed.
 
-    Returns (RestartSummary, end point theta, per-operator mean diagonal).
+    Returns (RestartSummary, end point theta, per-operator mean diagonal):
+    after the last stage one evaluation at the base weight gives the summary's
+    loss, KL residual and lambda*^2, and the stage itself its ``grad_norm``.
     """
     rng = np.random.default_rng(seq)
     if start is not None:
@@ -288,10 +292,8 @@ def _run_restart(seed_index, seq, m, K, action, spec, cfg, start=None):
                 continue  # measure-zero event: re-draw the start
     total_iters = 0
     for scale in MU_STAGES:
-        theta, iters = _descend_lbfgs(theta, action, spec, spec.mu * scale, cfg)
+        theta, iters, grad_norm = _descend_lbfgs(theta, action, spec, spec.mu * scale, cfg)
         total_iters += iters
-    _, aux = _evaluate(theta, action, spec, spec.mu * MU_STAGES[-1], True)
-    grad_norm = float(np.linalg.norm(aux["grad"]))
     base_loss, aux = _evaluate(theta, action, spec, spec.mu, False)
     summary = RestartSummary(
         seed_index=seed_index,

@@ -112,9 +112,6 @@ class ErrorBasis:
     def __iter__(self):
         return iter(self.ops)
 
-    def __getitem__(self, idx):
-        return self.ops[idx]
-
     @cached_property
     def index_of(self):
         return {op.letters: k for k, op in enumerate(self.ops)}

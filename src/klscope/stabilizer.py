@@ -6,6 +6,7 @@ vectors (seeded random ones pushed through that product, orthonormalized), so
 no 2^n x 2^n matrix is formed; their rank, capped at K+1, is its dimension.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +47,6 @@ BUILTIN_GENERATORS = {
 _PROJECTION_SEED = 9705052
 
 
-@dataclass(frozen=True)
-class StabilizerCode:
-    n: int
-    generators: tuple  # signed words such as "+XZZXI" and "-ZI"
-
-    @property
-    def K(self):
-        return 2 ** (self.n - len(self.generators))
-
-
 def _parse_row(row):
     """A generator row, blanks ignored, as a signed word: an optional sign
     (+, - or the unicode minus) before its letters, + when absent."""
@@ -78,24 +69,39 @@ def _gf2_rank(rows_bits):
     return rank
 
 
+@dataclass(frozen=True)
+class StabilizerCode:
+    """A stabilizer group on n qubits: generator rows, held as signed words
+    such as "+XZZXI" (``_parse_row``), checked to have length n, commute and
+    be independent over GF(2)."""
+
+    n: int
+    generators: tuple
+
+    def __post_init__(self):
+        gens = tuple(_parse_row(r) for r in self.generators)
+        if not gens:
+            raise ValueError("no generators given")
+        words = [pauli_from_string(g[1:]) for g in gens]
+        for g, w in zip(gens, words):
+            if w.n != self.n:
+                raise ValueError(f"generator length mismatch: {g} has n={w.n}, expected {self.n}")
+        for a, b in itertools.combinations(words, 2):
+            if not commutes(a, b):
+                raise ValueError(f"generators anticommute: {a} and {b}")
+        if _gf2_rank([(w.x_mask << self.n) | w.z_mask for w in words]) < len(gens):
+            raise ValueError("generators are dependent over GF(2)")
+        object.__setattr__(self, "generators", gens)
+
+    @property
+    def K(self):
+        return 2 ** (self.n - len(self.generators))
+
+
 def parse_generators(rows):
-    """Validate generator rows: equal length, commuting, independent."""
-    gens = [_parse_row(r) for r in rows]
-    if not gens:
-        raise ValueError("no generators given")
-    words = [pauli_from_string(g[1:]) for g in gens]
-    n = words[0].n
-    for g, w in zip(gens[1:], words[1:]):
-        if w.n != n:
-            raise ValueError(f"generator length mismatch: {g} has n={w.n}, expected {n}")
-    for a in range(len(words)):
-        for b in range(a + 1, len(words)):
-            if not commutes(words[a], words[b]):
-                raise ValueError(f"generators anticommute: {words[a]} and {words[b]}")
-    bits = [(w.x_mask << n) | w.z_mask for w in words]
-    if _gf2_rank(bits) < len(gens):
-        raise ValueError("generators are dependent over GF(2)")
-    return StabilizerCode(n=n, generators=tuple(gens))
+    """The StabilizerCode of generator rows, n the length of the first."""
+    rows = tuple(rows)
+    return StabilizerCode(n=len(_parse_row(rows[0])) - 1 if rows else 0, generators=rows)
 
 
 def _project(code, block):
@@ -110,13 +116,11 @@ def codespace_from_stabilizer(code):
 
     K + 1 seeded Gaussian vectors are projected onto the eigenspace and
     orthonormalized; their rank is its dimension up to K + 1, so the extra
-    vector is what detects a dimension above K.
+    vector would show a dimension above K.  A StabilizerCode is checked when
+    built, so the dimension is K, and ``rank != K`` is a self-check.
     """
-    # int(): K is a fraction for a hand-built group with more generators than qubits
-    block = np.random.default_rng(_PROJECTION_SEED).standard_normal((2 ** code.n, int(code.K) + 1))
+    block = np.random.default_rng(_PROJECTION_SEED).standard_normal((2 ** code.n, code.K + 1))
     q, rank = orthonormalize(_project(code, block))
-    if rank == 0:
-        raise ValueError("empty joint eigenspace of the generators")
     if rank != code.K:
         raise ValueError(f"eigenspace dimension {rank} != expected K={code.K}")
     return CodeSubspace(n=code.n, K=code.K, basis=q[:, :rank])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -372,6 +374,25 @@ def test_shaw_invariant_under_z_rotations():
     moved = apply_local_unitary(shaw, factors)
     lam = lambda_star(signature_vector(moved, basis, tol=1e-9))
     assert abs(lam - 1.0) <= 1e-9
+
+
+def _code_json(amplitudes, fmt="klscope.code/1"):
+    return json.dumps({"format": fmt, "n": 1, "K": 1, "amplitudes": amplitudes})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: code_from_json(_code_json([[[1, 0], [0, 0]]], fmt="klscope.code/0")),
+     "unsupported code format: 'klscope.code/0'"),
+    (lambda: code_from_json(_code_json([[[1, 0]]])), "amplitude block shape does not match n, K"),
+    (lambda: CodeSubspace(n=2, K=1, basis=np.eye(2)[:, :1]), r"basis shape \(2, 1\) != \(2\^2, 1\)"),
+    (lambda: new_code(2, [np.eye(8)[0]]), r"vectors have dimension 8, expected 2\^2"),
+    (lambda: kl_tensor(random_code(2, 1), enumerate_error_basis(3, 2)), "basis on 3 qubits, code on 2"),
+    (lambda: apply_local_unitary(random_code(2, 1), [np.eye(2)]), "need 2 factors, got 1"),
+], ids=["json-format", "json-shape", "basis-shape", "new-code-dimension", "kl-tensor-qubits",
+        "lu-factor-count"])
+def test_entry_checks_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_json_round_trip():

@@ -191,6 +191,17 @@ def test_cli_shor_code_construct_verify_enumerate(tmp_path):
     assert [int(ln.split(",")[0]) for ln in lines[1:]] == list(range(10))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: sweep(2, 1, 2, []), "empty sweep grid"),
+    (lambda: read_sweep_csv("target,loss\n"), "bad sweep CSV header: 'target,loss'"),
+    (lambda: construct_code("family623"), "family623 needs --theta or --e-vector"),
+    (lambda: construct_code("family999"), "unknown constructor 'family999'"),
+], ids=["empty-grid", "csv-header", "family623-parameter", "unknown-kind"])
+def test_entry_checks_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_non_isometric_code_json_rejected(tmp_path):
     code, _ = construct_code("stabilizer", name="steane")
     payload = json.loads(code_to_json(code))

@@ -121,6 +121,17 @@ def test_ortho_frame_columns_are_the_matrix():
         fr.matrix[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: frame_from_abcd(*np.eye(4) / 2), "a, b, c, d must be real 5-vectors"),
+    (lambda: perm_code_723("x"), "variant must be 'plus' or 'minus', got 'x'"),
+    (lambda: cyclic_coeffs_from_lambda(1.0, 0, 1), r"branches must be \+1 or -1"),
+    (lambda: hamiltonian_ground_check("h999"), "unknown Hamiltonian 'h999'"),
+], ids=["frame-shape", "perm-variant", "cyclic-branch", "hamiltonian-name"])
+def test_entry_checks_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_frame_rejects_non_orthogonal_input():
     with pytest.raises(ValueError):
         frame_from_abcd(*(np_rng.standard_normal((4, 5))))

@@ -152,6 +152,23 @@ def test_stiefel_map_conditioning_error():
         stiefel_map(theta)
 
 
+def test_stiefel_map_rejects_non_power_of_two_rows():
+    with pytest.raises(ValueError, match="row count 6 is not a power of two"):
+        stiefel_map(np.ones((6, 1)))
+
+
+def test_restart_grad_norm_is_the_last_stage_gradient():
+    # exact: L-BFGS-B ends with the gradient at the end point it returns
+    action = enumerate_error_basis(2, 2).action
+    spec = LossSpec("target_length", mu=1000.0, target_length=1.0)
+    cfg = OptimizerConfig(seed=3, restarts=1)
+    seq = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    with optimizer._one_blas_thread():
+        summary, theta, _ = optimizer._run_restart(0, seq, 4, 1, action, spec, cfg)
+        _, aux = optimizer._evaluate(theta, action, spec, spec.mu * optimizer.MU_STAGES[-1], True)
+    assert summary.grad_norm == np.linalg.norm(aux["grad"])
+
+
 def test_loss_examples_steane():
     steane = codespace_from_stabilizer(builtin("steane"))
     basis = enumerate_error_basis(7, 3)
@@ -299,7 +316,7 @@ def test_target_vector_loss_accepts_signature():
     shaw = codespace_from_stabilizer(builtin("shaw623"))
     basis = enumerate_error_basis(6, 3)
     sig = signature_vector(shaw, basis)
-    spec = LossSpec("target_vector", mu=1000.0, target_vector=sig)
+    spec = LossSpec("target_vector", mu=1000.0, target_vector=sig.components)
     assert loss(shaw.basis, basis, spec) <= 1e-20
     # a fresh search against the Shaw signature reproduces lambda* = 1
     res = optimize(6, 2, basis, spec, OptimizerConfig(seed=4, restarts=2))

@@ -111,17 +111,21 @@ def test_stabilizer_signature_integrality():
 
 
 def test_empty_eigenspace_guard():
-    # contradictory generators only arise from invalid input; the dependent
-    # pair is rejected at parse time, and the projection guard catches a
-    # hand-built inconsistent group
+    # contradictory or repeated generators are rejected where the group is
+    # built, so no group reaches the projection with an eigenspace other than K
     from klscope.stabilizer import StabilizerCode
 
     with pytest.raises(ValueError, match="dependent"):
         parse_generators(["ZI", "- Z I"])
-    bad = StabilizerCode(n=1, generators=("+Z", "-Z"))
-    with pytest.raises(ValueError, match="empty"):
-        codespace_from_stabilizer(bad)
-    # a repeated generator leaves a 2-dimensional eigenspace where K = 1 is expected
-    repeated = StabilizerCode(n=2, generators=("+ZI", "+ZI"))
-    with pytest.raises(ValueError, match="dimension 2 != expected K=1"):
-        codespace_from_stabilizer(repeated)
+    with pytest.raises(ValueError, match="dependent"):
+        StabilizerCode(n=1, generators=("+Z", "-Z"))
+    with pytest.raises(ValueError, match="dependent"):
+        StabilizerCode(n=2, generators=("+ZI", "+ZI"))
+    with pytest.raises(ValueError, match="length mismatch: \\+ZI has n=2, expected 3"):
+        StabilizerCode(n=3, generators=("ZI",))
+    # an unsigned hand-built generator reads as +1
+    unsigned = StabilizerCode(n=2, generators=("ZI",))
+    assert unsigned.generators == ("+ZI",)
+    code = codespace_from_stabilizer(unsigned)
+    assert code.K == 2
+    assert np.abs(code.projector - stabilizer_projector(unsigned)).max() <= 1e-12
