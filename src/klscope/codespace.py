@@ -62,19 +62,22 @@ class CodeSubspace:
 
 
 def orthonormalize(mat):
-    """Orthonormalize the columns of ``mat`` by one QR; returns (q, rank).
+    """Orthonormalize the columns of ``mat``, one matrix or a stack of them,
+    by one QR; returns (q, rank).
 
     Column phases are fixed so that diag(R) > 0, the unique Gram-Schmidt result,
-    so orthonormal input passes through up to round-off.  ``rank`` counts the
-    leading columns with |R_kk| > RANK_TOL * max(column norm, 1).
+    so orthonormal input passes through up to round-off.  ``rank`` (an int, or
+    an array over a stack) counts the leading columns with |R_kk| > RANK_TOL *
+    max(column norm, 1).
     """
     mat = np.asarray(mat, dtype=complex)
     q, r = np.linalg.qr(mat)
-    diag = np.diagonal(r)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     size = np.abs(diag)
-    q = q * np.divide(diag, size, out=np.ones_like(diag), where=size > 0)
-    independent = size > RANK_TOL * np.maximum(np.linalg.norm(mat[:, : diag.size], axis=0), 1.0)
-    return q, int(np.cumprod(independent).sum())
+    q = q * np.divide(diag, size, out=np.ones_like(diag), where=size > 0)[..., None, :]
+    norms = np.linalg.norm(mat[..., : diag.shape[-1]], axis=-2)
+    rank = np.cumprod(size > RANK_TOL * np.maximum(norms, 1.0), axis=-1).sum(axis=-1)
+    return q, rank if mat.ndim > 2 else int(rank)
 
 
 def new_code(n, vectors):

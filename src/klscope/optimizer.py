@@ -8,9 +8,12 @@ back-propagate through ``MarginalKernel.adjoint`` (the transposed subset
 read-off of ``MarginalKernel.values``), and the chain rule runs through the
 eigendecomposition of the K x K Gram matrix.  Each restart
 descends with L-BFGS (gradient-only quasi-Newton) in three stages of
-penalty weight MU_STAGES = (1, 1e3, 1e6) x mu, each run to the gradient
-tolerance GRAD_TOL = 1e-9, so converged points meet the KL tolerance instead
-of the O(1/mu^2) single-stage penalty floor.
+penalty weight MU_STAGES = (1, 1e3, 1e6) x mu, so converged points meet the
+KL tolerance instead of the O(1/mu^2) single-stage penalty floor.  A stage
+ends when its loss stops improving: at the first iteration whose accepted
+decrease is at most STALL_TOL x |loss| (relative to the loss itself, so a
+loss going to zero keeps its precision), or at the gradient tolerance
+GRAD_TOL = 1e-9, which the stiff later stages rarely reach.
 
 The restarts of a cold search are independent, each drawn from its own
 SeedSequence child, so they run in forked worker processes, one per usable
@@ -49,8 +52,12 @@ SETTLE_RESTARTS = 2
 
 # penalty weights of the escalation stages, in units of LossSpec.mu
 MU_STAGES = (1.0, 1e3, 1e6)
-# L-BFGS-B projected-gradient tolerance of every stage
+# L-BFGS-B projected-gradient tolerance of every stage; under the stiff
+# penalty weights few stages reach it, and the stall test ends the others
 GRAD_TOL = 1e-9
+# a stage stalls at the first iteration that lowers the loss f by at most
+# STALL_TOL x |f|
+STALL_TOL = 1000 * np.finfo(float).eps
 
 JNR_RESIDUAL_TOL = 1e-9  # jnr_feasibility: largest KL residual of a feasible restart
 JNR_DEDUP_TOL = 1e-6  # jnr_feasibility: value tuples this close (max norm) are one point
@@ -108,8 +115,9 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class RestartSummary:
     """A restart's end point: loss, KL residual and lambda*^2 at weight
-    ``spec.mu``, iterations of all stages, and ``grad_norm``, the norm of the
-    last stage's gradient as L-BFGS-B returned it."""
+    ``spec.mu``, iterations of all stages, ``grad_norm``, the norm of the
+    last stage's gradient as L-BFGS-B returned it, and ``stage_stops``, how
+    each stage ended ("stalled", "line search", "gradient" or "iterations")."""
 
     seed_index: int
     final_loss: float
@@ -117,6 +125,7 @@ class RestartSummary:
     lambda_sq: float
     iterations: int
     grad_norm: float
+    stage_stops: tuple
 
 
 @dataclass
@@ -238,11 +247,28 @@ def gradient(theta, ops, spec):
     return aux["grad"]
 
 
+def _stop_reason(res):
+    """How an L-BFGS-B run ended: "stalled" (the stall test, or scipy's own
+    relative-reduction test), "gradient", "iterations" or "line search"."""
+    if res.status == 99 or (res.status == 0 and "REDUCTION" in res.message):
+        return "stalled"
+    return {0: "gradient", 1: "iterations"}.get(res.status, "line search")
+
+
 def _descend_lbfgs(theta, action, spec, mu, cfg):
-    """One escalation stage of L-BFGS on the real-packed parameters; returns
-    the end point, the iteration count and the norm of the gradient there,
-    unpacked from L-BFGS-B's own (the packing is exact)."""
+    """One escalation stage of L-BFGS on the real-packed parameters, ended by
+    the stall test or by L-BFGS-B; returns the end point, the iteration count,
+    the norm of the gradient there, unpacked from L-BFGS-B's own (the packing
+    is exact), and the stop reason."""
     m, K = theta.shape
+    previous = math.inf
+
+    def stall(intermediate_result):
+        nonlocal previous
+        f = float(intermediate_result.fun)
+        if previous - f <= STALL_TOL * abs(f):
+            raise StopIteration  # L-BFGS-B returns this accepted point and its gradient
+        previous = f
 
     def unpack(x):
         return (x[: m * K] + 1j * x[m * K:]).reshape(m, K)
@@ -260,9 +286,10 @@ def _descend_lbfgs(theta, action, spec, mu, cfg):
         np.concatenate([theta.real.ravel(), theta.imag.ravel()]),
         jac=True,
         method="L-BFGS-B",
+        callback=stall,
         options=dict(maxiter=cfg.max_iters, ftol=1e-20, gtol=GRAD_TOL, maxcor=20),
     )
-    return unpack(res.x), int(res.nit), float(np.linalg.norm(unpack(res.jac)))
+    return unpack(res.x), int(res.nit), float(np.linalg.norm(unpack(res.jac))), _stop_reason(res)
 
 
 def _gaussian(rng, m, K):
@@ -290,10 +317,11 @@ def _run_restart(seed_index, seq, m, K, action, spec, cfg, start=None):
                 break
             except ConditioningError:
                 continue  # measure-zero event: re-draw the start
-    total_iters = 0
+    total_iters, stops = 0, []
     for scale in MU_STAGES:
-        theta, iters, grad_norm = _descend_lbfgs(theta, action, spec, spec.mu * scale, cfg)
+        theta, iters, grad_norm, stop = _descend_lbfgs(theta, action, spec, spec.mu * scale, cfg)
         total_iters += iters
+        stops.append(stop)
     base_loss, aux = _evaluate(theta, action, spec, spec.mu, False)
     summary = RestartSummary(
         seed_index=seed_index,
@@ -302,6 +330,7 @@ def _run_restart(seed_index, seq, m, K, action, spec, cfg, start=None):
         lambda_sq=aux["length_sq"],
         iterations=total_iters,
         grad_norm=grad_norm,
+        stage_stops=tuple(stops),
     )
     return summary, theta, aux["components"]
 

@@ -15,6 +15,7 @@ from klscope.codespace import (
     kl_violation,
     lambda_star,
     new_code,
+    orthonormalize,
     purity,
     reduced_density_matrix,
     signature_to_csv,
@@ -79,6 +80,18 @@ def test_new_code_rank_deficiency():
     v = random_state(8)
     with pytest.raises(ValueError, match="dependent"):
         new_code(3, [v, 1j * v])
+
+
+def test_orthonormalize_stack_matches_each_matrix():
+    rng = np.random.default_rng(8)
+    mats = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
+    mats[2, :, 2] = mats[2, :, 0]  # one rank-deficient matrix in the stack
+    q, rank = orthonormalize(mats)
+    for k, mat in enumerate(mats):
+        qk, rank_k = orthonormalize(mat)
+        assert q[k].tobytes() == qk.tobytes()
+        assert rank[k] == rank_k
+    assert rank.tolist() == [3, 3, 2, 3, 3]
 
 
 def test_kl_tensor_steane_slices_vanish():

@@ -6,15 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import klscope
 
+from klscope import driver
 from klscope.codespace import (
     code_from_json,
     code_to_json,
     kl_violation,
     lambda_star,
+    orthonormalize,
     signature_vector,
 )
 from klscope.driver import (
@@ -28,7 +31,7 @@ from klscope.driver import (
     verify_code,
 )
 from klscope.optimizer import SETTLE_RESTARTS, OptimizerConfig
-from klscope.pauli import enumerate_error_basis
+from klscope.pauli import MarginalKernel, enumerate_error_basis
 from klscope.stabilizer import BUILTIN_GENERATORS
 
 
@@ -123,6 +126,39 @@ def test_construct_family723_and_verify():
     assert report["enumerator_consistent"]
     assert report["lu_drift"] <= 1e-9
     assert info["branch"] == "--"
+
+
+def test_verify_contracts_each_code_once(monkeypatch):
+    calls = []
+    values = MarginalKernel.values
+
+    def counting(self, psi):
+        calls.append(psi.shape)
+        return values(self, psi)
+
+    monkeypatch.setattr(MarginalKernel, "values", counting)
+    report = verify_code(construct_code("stabilizer", name="steane")[0], lu_samples=4)
+    assert report["valid"]
+    assert len(calls) == 1 + 4  # the code, then each local-unitary image
+
+
+def test_verify_draws_the_per_factor_haar_unitaries(monkeypatch):
+    # one stacked draw gives the bytes of n per-factor draws from the same generator
+    def haar_unitary(rng):
+        z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
+        return orthonormalize(z)[0]
+
+    seen = []
+    apply = driver.apply_local_unitary
+    monkeypatch.setattr(driver, "apply_local_unitary",
+                        lambda code, factors: seen.append(factors) or apply(code, factors))
+    code = construct_code("stabilizer", name="steane")[0]
+    verify_code(code, lu_samples=3, seed=11)
+    rng = np.random.default_rng(11)
+    assert len(seen) == 3
+    for factors in seen:
+        reference = np.stack([haar_unitary(rng) for _ in range(code.n)])
+        assert factors.tobytes() == reference.tobytes()
 
 
 def test_construct_family623_theta_and_e_vector():

@@ -19,6 +19,7 @@ from klscope.optimizer import (
     optimize,
     stiefel_map,
 )
+from klscope.families import code_623, single_param_frame_623
 from klscope.pauli import enumerate_error_basis, pauli_from_string
 from klscope.stabilizer import builtin, codespace_from_stabilizer
 
@@ -167,6 +168,46 @@ def test_restart_grad_norm_is_the_last_stage_gradient():
         summary, theta, _ = optimizer._run_restart(0, seq, 4, 1, action, spec, cfg)
         _, aux = optimizer._evaluate(theta, action, spec, spec.mu * optimizer.MU_STAGES[-1], True)
     assert summary.grad_norm == np.linalg.norm(aux["grad"])
+
+
+STAGE_STOPS = {"stalled", "line search", "gradient", "iterations"}
+
+
+def test_cold_search_stages_end_stalled_and_kl_exact():
+    res = optimize(6, 2, enumerate_error_basis(6, 3), LossSpec("minimize_length", mu=1000.0),
+                   OptimizerConfig(seed=1, restarts=4))
+    stops = [stop for s in res.restart_summaries for stop in s.stage_stops]
+    assert len(stops) == 4 * len(optimizer.MU_STAGES) and set(stops) <= STAGE_STOPS
+    assert "stalled" in stops
+    assert all(s.kl_violation <= 1e-12 for s in res.restart_summaries)
+
+
+def test_stage_budget_is_reported_as_iterations():
+    res = optimize(2, 1, enumerate_error_basis(2, 2), LossSpec("minimize_length", mu=1000.0),
+                   OptimizerConfig(seed=1, restarts=1, max_iters=1))
+    assert res.restart_summaries[0].stage_stops == ("iterations",) * len(optimizer.MU_STAGES)
+
+
+def test_stage_started_at_its_minimum_stalls():
+    action = enumerate_error_basis(6, 3).action
+    spec = LossSpec("minimize_length", mu=1000.0)
+    theta = optimizer._gaussian(np.random.default_rng(5), 64, 2)
+    with optimizer._one_blas_thread():
+        theta, iters, _, _ = optimizer._descend_lbfgs(theta, action, spec, spec.mu, OptimizerConfig())
+        _, again, _, stop = optimizer._descend_lbfgs(theta, action, spec, spec.mu, OptimizerConfig())
+    assert iters > 2
+    assert stop == "stalled" and again <= 2
+
+
+def test_feasible_target_search_keeps_its_precision():
+    # the stall test is relative to the loss, so a loss going to zero is not cut off early
+    code = code_623(single_param_frame_623(0.3))
+    basis = enumerate_error_basis(6, 3)
+    spec = LossSpec("target_length", mu=1000.0,
+                    target_length=lambda_star(signature_vector(code, basis)))
+    res = optimize(6, 2, basis, spec, OptimizerConfig(seed=2, restarts=1), start=code.basis)
+    assert res.converged
+    assert res.final_loss <= 1e-18
 
 
 def test_loss_examples_steane():
