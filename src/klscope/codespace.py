@@ -206,6 +206,9 @@ def code_from_json(text):
         raise ValueError(f"code JSON must be an object, got {type(data).__name__}")
     if data.get("format") != CODE_JSON_FORMAT:
         raise ValueError(f"unsupported code format: {data.get('format')!r}")
+    for key in ("n", "K"):
+        if isinstance(data.get(key), bool):  # operator.index would read true as 1
+            raise ValueError(f"code JSON field {key!r} must be an integer, got {data[key]!r}")
     try:
         n, K = operator.index(data["n"]), operator.index(data["K"])
         cols = [[complex(re, im) for re, im in col] for col in data["amplitudes"]]

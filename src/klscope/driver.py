@@ -155,25 +155,25 @@ def read_sweep_csv(text):
 # construct / verify helpers shared by the CLI and tests
 
 
-def construct_code(kind, **kwargs):
+def construct_code(kind, *, theta=None, e_vector=None, seed=0, lambda_star=None,
+                   branch="--", variant="plus", name=None, rows=None):
     """Build a code by family name; returns (CodeSubspace, info dict)."""
     if kind == "family623":
-        theta = kwargs.get("theta")
-        e_vector = kwargs.get("e_vector")
         if theta is not None:
             frame = families.single_param_frame_623(float(theta))
         elif e_vector is not None:
-            rng = np.random.default_rng(kwargs.get("seed", 0))
+            rng = np.random.default_rng(seed)
             frame = families.frame_with_e(np.asarray(e_vector, dtype=float), rng)
         else:
             raise ValueError("family623 needs --theta or --e-vector")
         code = families.code_623(frame)
         return code, {"family": "623", "e": frame.e.tolist()}
     if kind == "family723":
-        if kwargs.get("lambda_star") is None:
+        if lambda_star is None:
             raise ValueError("family723 needs --lambda-star")
-        lam = float(kwargs["lambda_star"])
-        branch = kwargs.get("branch") or "--"
+        lam = float(lambda_star)
+        # argparse reads the documented `--branch=--` as an empty value
+        branch = branch or "--"
         signs = {"+": 1, "-": -1}
         if len(branch) != 2 or not set(branch) <= set(signs):
             raise ValueError(f"--branch must be two signs from + and -, got {branch!r}")
@@ -187,11 +187,9 @@ def construct_code(kind, **kwargs):
             "branch": branch,
         }
     if kind == "permcode":
-        variant = kwargs.get("variant", "plus")
         return families.perm_code_723(variant), {"family": "723-perm", "variant": variant}
     if kind == "stabilizer":
-        name = kwargs.get("name")
-        stab = builtin(name) if name else parse_generators(kwargs.get("rows") or [])
+        stab = builtin(name) if name else parse_generators(rows or [])
         return codespace_from_stabilizer(stab), {
             "family": "stabilizer",
             "generators": list(stab.generators),
@@ -234,48 +232,22 @@ def verify_code(code, d=3, tol=DEFAULT_KL_TOL, lu_samples=3, seed=0):
 # CLI
 
 
-def _add_optimizer_flags(p):
+def _add_optimizer_flags(p, restarts):
     p.add_argument("--mu", type=float, default=1000.0)
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=restarts)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kl-tol", type=float, default=DEFAULT_KL_TOL)
 
 
-def _config_from_args(args, default_restarts, stop_on_loss=None):
+def _config_from_args(args, stop_on_loss=None):
     return OptimizerConfig(
         seed=args.seed,
-        restarts=args.restarts if args.restarts is not None else default_restarts,
+        restarts=args.restarts,
         max_iters=args.max_iters,
         kl_tol=args.kl_tol,
         stop_on_loss=stop_on_loss,
     )
-
-
-# the keys an optimize --config object may set, and the type of each value
-_CONFIG_TYPES = {
-    "n": int, "K": int, "d": int, "seed": int, "restarts": int, "max_iters": int,
-    "mode": str, "mu": float, "lambda_target": float, "kl_tol": float,
-}
-
-
-def _read_optimize_config(path):
-    """The fields of an optimize --config JSON object; a bad one raises
-    ValueError naming it."""
-    with open(path) as fh:
-        params = json.load(fh)
-    if not isinstance(params, dict):
-        raise ValueError(f"config {path!r} must hold a JSON object, got {type(params).__name__}")
-    for key, value in params.items():
-        kind = _CONFIG_TYPES.get(key)
-        if kind is None:
-            raise ValueError(f"config field {key!r} is unknown; known: {', '.join(_CONFIG_TYPES)}")
-        if value is None and key == "lambda_target":
-            continue
-        numeric = kind is float and isinstance(value, int)
-        if isinstance(value, bool) or not (isinstance(value, kind) or numeric):
-            raise ValueError(f"config field {key!r} must be {kind.__name__}, got {value!r}")
-    return params
 
 
 def _write(path, text):
@@ -304,7 +276,7 @@ def _cmd_sweep(args):
             done = read_sweep_csv(fh.read())
         out_path = out_path or args.resume
 
-    cfg = _config_from_args(args, default_restarts=12, stop_on_loss=1e-12)
+    cfg = _config_from_args(args, stop_on_loss=1e-12)
     written = []
 
     def flush(rows):
@@ -332,17 +304,12 @@ def _cmd_sweep(args):
 
 
 def _cmd_optimize(args):
-    if args.config:
-        for key, value in _read_optimize_config(args.config).items():
-            setattr(args, key, value)
     n, K, d, mode, mu, lam = args.n, args.K, args.d, args.mode, args.mu, args.lambda_target
-    if n is None or K is None:
-        raise ValueError("optimize needs n and K (--n and --K, or a --config file)")
     if lam is not None and not math.isfinite(lam):
         raise ValueError(f"lambda_target must be finite, got {lam}")
     if mode == "target_length" and lam is None:
         raise ValueError("target_length mode needs lambda_target (--lambda-target)")
-    cfg = _config_from_args(args, default_restarts=50)
+    cfg = _config_from_args(args)
     spec = LossSpec(
         kind=mode,
         mu=mu,
@@ -371,20 +338,16 @@ def _cmd_optimize(args):
 
 
 def _cmd_construct(args):
-    kwargs = {
-        "theta": args.theta,
-        "e_vector": [float(x) for x in args.e_vector.split(",")] if args.e_vector else None,
-        "lambda_star": args.lambda_star,
-        "branch": args.branch,
-        "variant": args.variant,
-        "name": args.name,
-        "rows": None,
-        "seed": args.seed,
-    }
+    rows = None
     if args.generators:
         with open(args.generators) as fh:
-            kwargs["rows"] = [ln for ln in fh.read().splitlines() if ln.strip()]
-    code, info = construct_code(args.family, **kwargs)
+            rows = [ln for ln in fh.read().splitlines() if ln.strip()]
+    e_vector = [float(x) for x in args.e_vector.split(",")] if args.e_vector else None
+    code, info = construct_code(
+        args.family, theta=args.theta, e_vector=e_vector, seed=args.seed,
+        lambda_star=args.lambda_star, branch=args.branch, variant=args.variant,
+        name=args.name, rows=rows,
+    )
     payload = json.loads(code_to_json(code))
     payload["info"] = info
     _write(args.out, json.dumps(payload) + "\n")
@@ -454,19 +417,18 @@ def build_parser():
     p.add_argument("--grid", type=str, default=None, help="comma list overriding from/to/step")
     p.add_argument("--resume", type=str, default=None, help="existing CSV to continue")
     p.add_argument("--out", type=str, default=None)
-    _add_optimizer_flags(p)
+    _add_optimizer_flags(p, restarts=12)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="single search, result JSON out")
-    p.add_argument("--config", type=str, default=None, help="JSON config file")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--K", type=int, default=None)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--K", type=int, required=True)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--mode", type=str, default="minimize_length",
                    choices=["kl_only", "minimize_length", "maximize_length", "target_length"])
     p.add_argument("--lambda-target", type=float, default=None)
     p.add_argument("--out", type=str, default=None)
-    _add_optimizer_flags(p)
+    _add_optimizer_flags(p, restarts=50)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("construct", help="build an exact code, JSON out")

@@ -147,13 +147,18 @@ class OptimizationResult:
     restart_summaries: list = field(default_factory=list)
 
 
-def _stacked_action(ops, m=None):
+def _stacked_action(ops, m=None, spec=None):
     """MarginalKernel of an ErrorBasis or of equal-length Pauli words (letter
-    strings or PauliStrings); with ``m``, checked to act on m dimensions."""
+    strings or PauliStrings); with ``m``, checked to act on m dimensions, and
+    with a target_vector ``spec``, to have one operator per target entry."""
     action = ops.action if isinstance(ops, ErrorBasis) else MarginalKernel(ops)
     if m is not None and m != action.dim:
         raise ValueError(f"operators act on {action.dim.bit_length() - 1} qubits, "
                          f"the search space on {math.log2(m):g}")
+    n_ops = action.readoff.shape[0]
+    if spec is not None and spec.kind == "target_vector" and len(spec.target_vector) != n_ops:
+        raise ValueError(f"target_vector has {len(spec.target_vector)} entries, "
+                         f"but there are {n_ops} operators")
     return action
 
 
@@ -232,7 +237,7 @@ def _evaluate(theta, action, spec, mu, want_grad):
 def loss(theta, ops, spec):
     """Value of the selected loss at theta over ``ops`` (an ErrorBasis or Pauli words)."""
     theta = np.asarray(theta, dtype=complex)
-    val, _ = _evaluate(theta, _stacked_action(ops, len(theta)), spec, spec.mu, False)
+    val, _ = _evaluate(theta, _stacked_action(ops, len(theta), spec), spec, spec.mu, False)
     return val
 
 
@@ -243,7 +248,7 @@ def gradient(theta, ops, spec):
     directional derivative along a complex direction D is Re tr(grad^dag D).
     """
     theta = np.asarray(theta, dtype=complex)
-    _, aux = _evaluate(theta, _stacked_action(ops, len(theta)), spec, spec.mu, True)
+    _, aux = _evaluate(theta, _stacked_action(ops, len(theta), spec), spec, spec.mu, True)
     return aux["grad"]
 
 
@@ -498,11 +503,11 @@ def optimize(n, K, ops, spec, config=None, *, start=None):
     """
     cfg = config or OptimizerConfig()
     m = 2 ** n
-    action = _stacked_action(ops, m)
+    action = _stacked_action(ops, m, spec)
     if start is not None:
         start = np.asarray(start, dtype=complex)
-        if start.shape != (m, K):
-            raise ValueError(f"start has shape {start.shape}, expected {(m, K)}")
+        if start.shape != (m, K) or not np.isfinite(start).all():
+            raise ValueError(f"start must be a finite {m} x {K} matrix, got shape {start.shape}")
     t0 = time.perf_counter()
     outcomes = []
     settled = 0  # consecutive settled restarts after the warm one

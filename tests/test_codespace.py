@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from klscope.codespace import (
     apply_local_unitary,
     code_from_json,
     code_to_json,
+    kl_residual,
     kl_tensor,
     kl_violation,
     lambda_star,
@@ -21,6 +23,7 @@ from klscope.codespace import (
     signature_to_csv,
     signature_vector,
 )
+from klscope.enumerators import weight_enumerators
 from klscope.optimizer import LossSpec, gradient, loss
 from klscope.pauli import (
     MarginalKernel,
@@ -162,6 +165,28 @@ def test_kernel_values_and_gradient_property(case, seed):
     fd = (loss(theta + h * delta, basis, spec) - loss(theta - h * delta, basis, spec)) / (2 * h)
     # at d = n + 1 the loss is constant and fd is the round-off of the difference
     assert abs(analytic - fd) <= 1e-6 * abs(fd) + 1e-14 * abs(loss(theta, basis, spec)) / h
+
+
+_SUBSPACE_CASES = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, 2 ** (n - 1))))
+
+
+@settings(database=None, derandomize=True, max_examples=30, deadline=None)
+@given(_SUBSPACE_CASES, st.integers(0, 2 ** 32 - 1))
+def test_signature_norm_is_enumerator_root_and_lu_invariant(case, seed):
+    # |mean|^2 = A_1 + A_2 and its local-unitary invariance hold for any
+    # subspace at d = 3, not only for codes
+    n, K = case
+    rng = np.random.default_rng(seed)
+    basis = enumerate_error_basis(n, 3)
+    code = new_code(n, rng.standard_normal((K, 2 ** n)) + 1j * rng.standard_normal((K, 2 ** n)))
+    norm = np.linalg.norm(kl_residual(kl_tensor(code, basis))[1])
+    A = weight_enumerators(code).A
+    assert abs(norm - math.sqrt(A[1] + A[2])) <= 1e-10
+    g = rng.standard_normal((n, 2, 2, 2))
+    factors = orthonormalize(g[:, 0] + 1j * g[:, 1])[0]
+    moved = apply_local_unitary(code, factors)
+    assert abs(np.linalg.norm(kl_residual(kl_tensor(moved, basis))[1]) - norm) <= 1e-10
 
 
 def test_word_kernel_matches_direct_contraction():
@@ -389,20 +414,23 @@ def test_shaw_invariant_under_z_rotations():
     assert abs(lam - 1.0) <= 1e-9
 
 
-def _code_json(amplitudes, fmt="klscope.code/1"):
-    return json.dumps({"format": fmt, "n": 1, "K": 1, "amplitudes": amplitudes})
+def _code_json(amplitudes, fmt="klscope.code/1", n=1, K=1):
+    return json.dumps({"format": fmt, "n": n, "K": K, "amplitudes": amplitudes})
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: code_from_json(_code_json([[[1, 0], [0, 0]]], fmt="klscope.code/0")),
      "unsupported code format: 'klscope.code/0'"),
     (lambda: code_from_json(_code_json([[[1, 0]]])), "amplitude block shape does not match n, K"),
+    # operator.index(True) is 1: a boolean must not load as a 1-qubit code
+    (lambda: code_from_json(_code_json([[[1, 0], [0, 0]]], n=True)), "field 'n' must be an integer"),
+    (lambda: code_from_json(_code_json([[[1, 0], [0, 0]]], K=True)), "field 'K' must be an integer"),
     (lambda: CodeSubspace(n=2, K=1, basis=np.eye(2)[:, :1]), r"basis shape \(2, 1\) != \(2\^2, 1\)"),
     (lambda: new_code(2, [np.eye(8)[0]]), r"vectors have dimension 8, expected 2\^2"),
     (lambda: kl_tensor(random_code(2, 1), enumerate_error_basis(3, 2)), "basis on 3 qubits, code on 2"),
     (lambda: apply_local_unitary(random_code(2, 1), [np.eye(2)]), "need 2 factors, got 1"),
-], ids=["json-format", "json-shape", "basis-shape", "new-code-dimension", "kl-tensor-qubits",
-        "lu-factor-count"])
+], ids=["json-format", "json-shape", "json-bool-n", "json-bool-K", "basis-shape",
+        "new-code-dimension", "kl-tensor-qubits", "lu-factor-count"])
 def test_entry_checks_reject_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from klscope.driver import (
     SWEEP_CSV_HEADER,
     SweepResult,
     SweepRow,
+    build_parser,
     construct_code,
     main,
     read_sweep_csv,
@@ -180,6 +182,8 @@ def test_construct_permcode_and_stabilizer():
     code2, info = construct_code("stabilizer", name="steane", rows=None)
     assert lambda_star(signature_vector(code2, basis)) <= 1e-9
     assert len(info["generators"]) == 6
+    with pytest.raises(TypeError, match="varient"):  # a misspelled option is not ignored
+        construct_code("permcode", varient="minus")
 
 
 def test_cli_construct_verify_enumerate(tmp_path):
@@ -315,16 +319,11 @@ def test_cli_generator_file(tmp_path):
     assert code.n == 2 and code.K == 1
 
 
-def test_cli_optimize_with_config(tmp_path):
-    cfg = {
-        "n": 2, "K": 1, "d": 2, "mode": "target_length", "mu": 1000.0,
-        "lambda_target": 1.0, "restarts": 3, "max_iters": 500,
-        "seed": 5, "kl_tol": 1e-10,
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+def test_cli_optimize_with_flags(tmp_path):
     out = tmp_path / "result.json"
-    rc = main(["optimize", "--config", str(cfg_path), "--out", str(out)])
+    rc = main(["optimize", "--n", "2", "--K", "1", "--d", "2", "--mode", "target_length",
+               "--lambda-target", "1.0", "--restarts", "3", "--max-iters", "500",
+               "--seed", "5", "--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["format"] == "klscope.result/1"
@@ -333,6 +332,18 @@ def test_cli_optimize_with_config(tmp_path):
     assert abs(payload["lambda_star"] - 1.0) <= 1e-6
     code = code_from_json(json.dumps(payload["code"]))
     assert kl_violation(code, enumerate_error_basis(2, 2)) <= 1e-10
+
+
+def test_readme_command_lines_parse():
+    # parsed, not run: the documented flags must exist in the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("klscope ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command == shlex.split(line)[1], line
 
 
 def test_cli_sweep_resume(tmp_path):
@@ -404,6 +415,7 @@ def test_cli_rejects_bad_numeric_input(tmp_path, capsys):
         (["optimize", "--kl-tol", "-1"], "kl_tol"),
         (["optimize", "--mode", "target_length", "--lambda-target", "nan"], "lambda_target"),
         (["optimize", "--mode", "kl_only", "--lambda-target", "inf"], "lambda_target"),
+        (["optimize", "--mode", "target_length"], "lambda_target"),
         (["sweep", "--grid", "0.5,nan"], "grid"),
         (["sweep", "--grid", "inf"], "grid"),
         (["sweep", "--step", "nan"], "--step"),
@@ -437,31 +449,6 @@ def test_signature_rejects_bad_tolerance(tmp_path, capsys):
     for tol in ("-1", "nan", "inf"):
         assert main(["signature", str(code_path), "--kl-tol", tol]) == 2, tol
         assert "tol must be non-negative and finite" in capsys.readouterr().err, tol
-
-
-@pytest.mark.parametrize("config, name", [
-    ([1, 2], "JSON object"),
-    ("n", "JSON object"),
-    ({"n": "2", "K": 1}, "'n'"),
-    ({"n": 2.0, "K": 1}, "'n'"),
-    ({"n": True, "K": 1}, "'n'"),
-    ({"n": 2, "K": 1, "seed": "x"}, "'seed'"),
-    ({"n": 2, "K": 1, "restarts": None}, "'restarts'"),
-    ({"n": 2, "K": 1, "mu": "1000"}, "'mu'"),
-    ({"n": 2, "K": 1, "mode": 3}, "'mode'"),
-    ({"n": 2, "K": 1, "restart": 3}, "'restart'"),
-    ({"K": 1}, "n and K"),
-    ({"n": 2}, "n and K"),
-    ({"n": 2, "K": 1, "mode": "target_length"}, "lambda_target"),
-    ({"n": 2, "K": 1, "mode": "target_length", "lambda_target": float("nan")}, "lambda_target"),
-    ({"n": 2, "K": 1, "d": 2, "restarts": 0}, "restarts"),
-    ({"n": 2, "K": 1, "d": 2, "kl_tol": -1.0}, "kl_tol"),
-])
-def test_cli_optimize_config_rejected_naming_the_field(tmp_path, capsys, config, name):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    assert main(["optimize", "--config", str(path)]) == 2
-    assert name in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

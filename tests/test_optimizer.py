@@ -353,6 +353,26 @@ def test_warm_start_validates_shape():
         optimize(2, 2, basis, spec, OptimizerConfig(restarts=1), start=np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_warm_start_rejects_non_finite_entries(value):
+    # a NaN start used to run the whole warm search, then fail in stiefel_map
+    start = np.eye(4, 1, dtype=complex)
+    start[2, 0] = value
+    with pytest.raises(ValueError, match="start must be a finite 4 x 1 matrix"):
+        optimize(2, 1, enumerate_error_basis(2, 2), LossSpec("kl_only", mu=1.0),
+                 OptimizerConfig(restarts=1), start=start)
+
+
+def test_target_vector_length_must_match_operators():
+    basis = enumerate_error_basis(2, 2)  # 6 operators
+    spec = LossSpec("target_vector", target_vector=[0.0, 1.0])
+    theta = random_theta(4, 1)
+    for call in (lambda: loss(theta, basis, spec), lambda: gradient(theta, basis, spec),
+                 lambda: optimize(2, 1, basis, spec, OptimizerConfig(restarts=1))):
+        with pytest.raises(ValueError, match="target_vector has 2 entries, but there are 6"):
+            call()
+
+
 def test_target_vector_loss_accepts_signature():
     shaw = codespace_from_stabilizer(builtin("shaw623"))
     basis = enumerate_error_basis(6, 3)
