@@ -104,17 +104,17 @@ class SignatureVector:
 def kl_residual(values):
     """KL residual of a (n_ops, K, K) block stack.
 
-    Returns (residual, mean, spread): the residual is the off-diagonal mass
-    plus the spread of each operator's real diagonal around its mean; mean
-    has shape (n_ops,) and spread (n_ops, K).
+    Returns (residual, mean, dev): mean (n_ops,) is each operator's mean real
+    diagonal, dev (n_ops, K, K) is values - mean I with the real spread
+    Re values_ii - mean on its diagonal (dropping the round-off imaginary
+    part), and the residual is |dev|_F^2.
     """
-    K = values.shape[1]
-    idx = np.arange(K)
-    diag = values[:, idx, idx].real  # a copy: faster downstream than a diagonal view
+    idx = np.arange(values.shape[1])
+    diag = values[:, idx, idx].real
     mean = diag.mean(axis=1)
-    spread = diag - mean[:, None]
-    off = values[:, ~np.eye(K, dtype=bool)]
-    return float(np.sum(np.abs(off) ** 2) + np.sum(spread ** 2)), mean, spread
+    dev = values.copy()
+    dev[:, idx, idx] = diag - mean[:, None]
+    return float(np.vdot(dev, dev).real), mean, dev
 
 
 def kl_tensor(code, basis):

@@ -208,7 +208,7 @@ def verify_code(code, d=3, tol=DEFAULT_KL_TOL, lu_samples=3, seed=0):
         lam = float(np.linalg.norm(mean))  # lambda*, the norm of the signature vector
         report["lambda_star"] = lam
         we = weight_enumerators(code)
-        report["enumerator_lambda_sq"] = lambda_star_sq_from_enumerator(we)
+        report["enumerator_lambda_sq"] = lambda_star_sq_from_enumerator(we, d)
         report["enumerator_consistent"] = bool(
             abs(report["enumerator_lambda_sq"] - lam ** 2) <= 1e-8
         )
@@ -258,9 +258,20 @@ def _write(path, text):
             fh.write(text)
 
 
+def _floats(flag, text):
+    """The floats of the comma list ``text`` given to ``flag``; a bad entry is named by position."""
+    values = []
+    for k, part in enumerate(text.split(","), start=1):
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ValueError(f"{flag} entry {k} is not a number: {part!r}") from None
+    return values
+
+
 def _cmd_sweep(args):
     if args.grid:
-        grid = [float(x) for x in args.grid.split(",")]
+        grid = _floats("--grid", args.grid)
     else:
         for flag, value in (("--from", getattr(args, "from")), ("--to", args.to)):
             if not math.isfinite(value):
@@ -342,7 +353,7 @@ def _cmd_construct(args):
     if args.generators:
         with open(args.generators) as fh:
             rows = [ln for ln in fh.read().splitlines() if ln.strip()]
-    e_vector = [float(x) for x in args.e_vector.split(",")] if args.e_vector else None
+    e_vector = _floats("--e-vector", args.e_vector) if args.e_vector else None
     code, info = construct_code(
         args.family, theta=args.theta, e_vector=e_vector, seed=args.seed,
         lambda_star=args.lambda_star, branch=args.branch, variant=args.variant,

@@ -93,9 +93,9 @@ def closed_form_623(theta):
     return WeightEnumerator(n=6, A=A, B=B)
 
 
-def lambda_star_sq_from_enumerator(we):
-    """lambda*^2 = A_1 + A_2 for a distance-3 code."""
-    return float(we.A[1] + we.A[2])
+def lambda_star_sq_from_enumerator(we, d=3):
+    """lambda*^2 = A_1 + ... + A_{d-1} for a code of distance d."""
+    return float(we.A[1:d].sum())
 
 
 def enumerator_to_csv(we):

@@ -5,8 +5,10 @@ theta (theta^dag theta)^{-1/2}; the losses combine the KL residual with a
 penalty weight mu and a length objective (minimize, maximize, hit a target
 length, or hit a target vector).  Gradients are analytic: the KL values
 back-propagate through ``MarginalKernel.adjoint`` (the transposed subset
-read-off of ``MarginalKernel.values``), and the chain rule runs through the
-eigendecomposition of the K x K Gram matrix.  Each restart
+read-off of ``MarginalKernel.values``).  Every loss depends on the code's
+projector alone, so its gradient is the horizontal projection
+2 (I - psi psi^dag) g_psi R (Edelman, Arias & Smith, SIAM J. Matrix Anal.
+Appl. 20, 1998), with no derivative of the polar map.  Each restart
 descends with L-BFGS (gradient-only quasi-Newton) in three stages of
 penalty weight MU_STAGES = (1, 1e3, 1e6) x mu, so converged points meet the
 KL tolerance instead of the O(1/mu^2) single-stage penalty floor.  A stage
@@ -163,16 +165,14 @@ def _stacked_action(ops, m=None, spec=None):
 
 
 def _polar(theta):
-    """Polar factor and the pieces needed for the chain rule."""
-    S = theta.conj().T @ theta
-    lam, U = np.linalg.eigh(S)
+    """Polar factor psi = theta R and R = (theta^dag theta)^{-1/2}."""
+    lam, U = np.linalg.eigh(theta.conj().T @ theta)
     if lam[0] <= 0 or np.sqrt(lam[0]) < 1e-8 or lam[0] < 1e-14 * lam[-1]:
         raise ConditioningError(
             f"smallest singular value {np.sqrt(max(lam[0], 0.0)):.2e} too small"
         )
-    s = np.sqrt(lam)
-    R = (U / s) @ U.conj().T
-    return theta @ R, R, U, s
+    R = (U / np.sqrt(lam)) @ U.conj().T
+    return theta @ R, R
 
 
 def stiefel_map(theta):
@@ -182,8 +182,7 @@ def stiefel_map(theta):
     n = int(m).bit_length() - 1
     if 2 ** n != m:
         raise ValueError(f"row count {m} is not a power of two")
-    psi, _, _, _ = _polar(theta)
-    return CodeSubspace(n=n, K=K, basis=psi)
+    return CodeSubspace(n=n, K=K, basis=_polar(theta)[0])
 
 
 def _length_term(spec, mean, length_sq):
@@ -203,35 +202,24 @@ def _length_term(spec, mean, length_sq):
 
 def _evaluate(theta, action, spec, mu, want_grad):
     """Loss (and gradient, KL residual, length^2) at theta."""
-    psi, R, U, s = _polar(theta)
+    psi, R = _polar(theta)
     K = psi.shape[1]
     Y, A = action.values(psi)
-    kl, mean, spread = kl_residual(A)
+    kl, mean, dev = kl_residual(A)
     length_sq = float(mean @ mean)
-
     # kl_only is unweighted at the base stage; escalation still applies
     mu_eff = mu / spec.mu if spec.kind == "kl_only" else mu
     term, half_derivative = _length_term(spec, mean, length_sq)
-    loss = mu_eff * kl + term
-
-    if not want_grad:
-        return loss, {"kl": kl, "length_sq": length_sq, "components": mean}
-
-    g = half_derivative / K
-    # M_a = W_a + W_a^dag where dL = sum_a 2 Re tr(W_a^dag dA_a)
-    idx = np.arange(K)
-    M = A + A.conj().transpose(0, 2, 1)
-    M[:, idx, idx] = 0.0
-    M *= mu_eff
-    M[:, idx, idx] = 2 * mu_eff * spread + 2 * g[:, None]
-
-    g_psi = action.adjoint(Y, M)
-    T = theta.conj().T @ g_psi
-    denom = -(s[:, None] * s[None, :]) * (s[:, None] + s[None, :])
-    T_tilde = U.conj().T @ T @ U
-    Q = U @ (T_tilde / denom) @ U.conj().T
-    grad = 2 * (g_psi @ R + theta @ (Q + Q.conj().T))
-    return loss, {"kl": kl, "length_sq": length_sq, "components": mean, "grad": grad}
+    aux = {"kl": kl, "length_sq": length_sq, "components": mean}
+    if want_grad:
+        # dL = sum_a Re tr(M_a dA_a) (M_a Hermitian); the loss is a function of
+        # psi psi^dag, so only g_psi's part orthogonal to psi moves it
+        idx = np.arange(K)
+        M = 2 * mu_eff * dev
+        M[:, idx, idx] += (2 / K) * half_derivative[:, None]
+        g_psi = action.adjoint(Y, M)
+        aux["grad"] = 2 * (g_psi - psi @ (psi.conj().T @ g_psi)) @ R
+    return mu_eff * kl + term, aux
 
 
 def loss(theta, ops, spec):

@@ -32,6 +32,7 @@ from klscope.driver import (
     sweep,
     verify_code,
 )
+from klscope.enumerators import weight_enumerators
 from klscope.optimizer import SETTLE_RESTARTS, OptimizerConfig
 from klscope.pauli import MarginalKernel, enumerate_error_basis
 from klscope.stabilizer import BUILTIN_GENERATORS
@@ -128,6 +129,17 @@ def test_construct_family723_and_verify():
     assert report["enumerator_consistent"]
     assert report["lu_drift"] <= 1e-9
     assert info["branch"] == "--"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_verify_checks_the_enumerator_identity_of_its_distance(d):
+    # lambda*^2 = A_1 + ... + A_{d-1}: shaw623 has lambda* = 0 at d = 2 but A_2 = 1
+    code = construct_code("stabilizer", name="shaw623")[0]
+    report = verify_code(code, d=d)
+    we = weight_enumerators(code)
+    assert report["valid"] and report["enumerator_consistent"]
+    assert report["enumerator_lambda_sq"] == float(we.A[1:d].sum())
+    assert abs(report["lambda_star"] ** 2 - (0.0, 1.0)[d - 2]) <= 1e-12
 
 
 def test_verify_contracts_each_code_once(monkeypatch):
@@ -428,6 +440,15 @@ def test_cli_rejects_bad_numeric_input(tmp_path, capsys):
         argv = [*argv, "--n", "2", "--K", "1", "--d", "2", "--restarts", "1"]
         assert main(argv) == 2, argv
         assert name in capsys.readouterr().err, argv
+    # a comma-list entry that is not a number is named by its flag and position
+    for argv, message in (
+        (["construct", "family623", "--e-vector", "0.4,x"],
+         "--e-vector entry 2 is not a number: 'x'"),
+        (["sweep", "--n", "2", "--K", "1", "--grid", "0.5,,0.7"],
+         "--grid entry 2 is not a number: ''"),
+    ):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_verify_rejects_negative_tolerance(tmp_path, capsys):

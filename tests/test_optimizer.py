@@ -274,6 +274,53 @@ def test_gradient_orthogonal_to_scale_directions():
         assert abs(np.real(np.vdot(g, 1j * theta))) <= 1e-8
 
 
+def _chain_rule_gradient(theta, action, spec, mu):
+    """The gradient by the chain rule through the eigendecomposition of
+    theta^dag theta (the derivative of the polar map): the reference for the
+    horizontal projection that ``_evaluate`` takes."""
+    lam, U = np.linalg.eigh(theta.conj().T @ theta)
+    s = np.sqrt(lam)
+    R = (U / s) @ U.conj().T
+    psi = theta @ R
+    K = psi.shape[1]
+    Y, A = action.values(psi)
+    idx = np.arange(K)
+    diag = A[:, idx, idx].real
+    mean = diag.mean(axis=1)
+    mu_eff = mu / spec.mu if spec.kind == "kl_only" else mu
+    _, half_derivative = optimizer._length_term(spec, mean, float(mean @ mean))
+    M = mu_eff * (A + A.conj().transpose(0, 2, 1))
+    M[:, idx, idx] = 2 * mu_eff * (diag - mean[:, None]) + 2 * half_derivative[:, None] / K
+    g_psi = action.adjoint(Y, M)
+    denom = -(s[:, None] * s[None, :]) * (s[:, None] + s[None, :])
+    Q = U @ ((U.conj().T @ (theta.conj().T @ g_psi) @ U) / denom) @ U.conj().T
+    return 2 * (g_psi @ R + theta @ (Q + Q.conj().T))
+
+
+def test_projected_gradient_matches_the_chain_rule():
+    # every loss kind, K = 1..4, d = 2 and 3, at every stage weight; K = 1 at
+    # weight 1e6 fails if the imaginary round-off of the KL diagonal reaches M
+    for d in (2, 3):
+        basis = enumerate_error_basis(3, d)
+        specs = [
+            LossSpec("kl_only", mu=1.0),
+            LossSpec("minimize_length", mu=1000.0),
+            LossSpec("maximize_length", mu=1000.0),
+            LossSpec("target_length", mu=1000.0, target_length=0.8),
+            LossSpec("target_vector", mu=1000.0,
+                     target_vector=np.linspace(-0.2, 0.2, len(basis))),
+        ]
+        for K in range(1, 5):
+            theta = random_theta(8, K)
+            for spec in specs:
+                for scale in optimizer.MU_STAGES:
+                    mu = spec.mu * scale
+                    _, aux = optimizer._evaluate(theta, basis.action, spec, mu, True)
+                    ref = _chain_rule_gradient(theta, basis.action, spec, mu)
+                    err = np.linalg.norm(aux["grad"] - ref)
+                    assert err <= 1e-12 * np.linalg.norm(ref), (d, K, spec.kind, mu)
+
+
 def test_optimize_two_qubit_extremes():
     # K=1 on two qubits: any state is feasible; the squared correlation length
     # spans [0, 2] from Bell states to product states
