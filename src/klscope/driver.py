@@ -3,7 +3,8 @@
 Subcommands: sweep (feasibility scan of target lengths, CSV out), optimize
 (single search, JSON out), construct (exact families and built-in stabilizer
 codes, code JSON out), verify (re-check a code JSON), enumerate (weight
-enumerator CSV), jnr (joint-numerical-range feasibility CSV).
+enumerator CSV), signature (signature vector CSV), jnr (joint-numerical-range
+feasibility CSV).  Each writes to stdout, or with ``--out`` replaces a file.
 """
 
 import argparse
@@ -102,12 +103,12 @@ def sweep(n, K, d, grid, mu=1000.0, config=None, done=None, on_row=None):
     basis = enumerate_error_basis(n, d)
     rows = list(done or [])
     have = {round(r.target_lambda_sq, 12) for r in rows}
-    todo = [t for t in grid if round(t, 12) not in have]
     converged = []  # (achieved lambda*^2, code basis) of this call's converged points
-    for target_sq in todo:
-        start = None
-        if converged:
-            start = min(converged, key=lambda c: abs(c[0] - target_sq))[1]
+    for target_sq in grid:
+        if round(target_sq, 12) in have:  # done, or a repeat of this call's target
+            continue
+        have.add(round(target_sq, 12))
+        start = min(converged, key=lambda c: abs(c[0] - target_sq))[1] if converged else None
         t0 = time.perf_counter()
         spec = LossSpec(kind="target_length", mu=mu, target_length=math.sqrt(max(target_sq, 0.0)))
         result = optimize(n, K, basis, spec, cfg, start=start)
@@ -159,6 +160,8 @@ def construct_code(kind, *, theta=None, e_vector=None, seed=0, lambda_star=None,
                    branch="--", variant="plus", name=None, rows=None):
     """Build a code by family name; returns (CodeSubspace, info dict)."""
     if kind == "family623":
+        if theta is not None and e_vector is not None:
+            raise ValueError("family623 takes --theta or --e-vector, not both")
         if theta is not None:
             frame = families.single_param_frame_623(float(theta))
         elif e_vector is not None:
@@ -189,6 +192,8 @@ def construct_code(kind, *, theta=None, e_vector=None, seed=0, lambda_star=None,
     if kind == "permcode":
         return families.perm_code_723(variant), {"family": "723-perm", "variant": variant}
     if kind == "stabilizer":
+        if name and rows is not None:
+            raise ValueError("stabilizer takes --name or --generators, not both")
         stab = builtin(name) if name else parse_generators(rows or [])
         return codespace_from_stabilizer(stab), {
             "family": "stabilizer",
@@ -229,33 +234,37 @@ def verify_code(code, d=3, tol=DEFAULT_KL_TOL, lu_samples=3, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# CLI
+# CLI: each subcommand returns (text, exit status) and main writes the text
 
 
-def _add_optimizer_flags(p, restarts):
-    p.add_argument("--mu", type=float, default=1000.0)
-    p.add_argument("--restarts", type=int, default=restarts)
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kl-tol", type=float, default=DEFAULT_KL_TOL)
+def _read(path):
+    """The text of the file ``path``; ``-`` reads stdin."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
 
 
-def _config_from_args(args, stop_on_loss=None):
-    return OptimizerConfig(
-        seed=args.seed,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        kl_tol=args.kl_tol,
-        stop_on_loss=stop_on_loss,
-    )
+def _lines(path):
+    """The non-blank lines of the file ``path``, stripped."""
+    return [ln.strip() for ln in _read(path).splitlines() if ln.strip()]
 
 
 def _write(path, text):
+    """Write ``text`` to stdout (no path or ``-``) or over the file ``path``: a
+    sibling temp file, synced, is renamed over it, so a crash mid-write leaves
+    the previous complete file."""
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+    elif os.path.exists(path) and not os.path.isfile(path):  # /dev/null, a pipe
         with open(path, "w") as fh:
             fh.write(text)
+    else:
+        with open(path + ".tmp", "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(path + ".tmp", path)
 
 
 def _floats(flag, text):
@@ -269,145 +278,116 @@ def _floats(flag, text):
     return values
 
 
+def _config(args, stop_on_loss):
+    return OptimizerConfig(seed=args.seed, restarts=args.restarts, max_iters=args.max_iters,
+                           kl_tol=getattr(args, "kl_tol", DEFAULT_KL_TOL),  # jnr has none
+                           stop_on_loss=stop_on_loss)
+
+
 def _cmd_sweep(args):
     if args.grid:
         grid = _floats("--grid", args.grid)
     else:
-        for flag, value in (("--from", getattr(args, "from")), ("--to", args.to)):
+        start = getattr(args, "from")
+        for flag, value in (("--from", start), ("--to", args.to)):
             if not math.isfinite(value):
                 raise ValueError(f"{flag} must be finite, got {value}")
         if not 0 < args.step < math.inf:  # also rejects NaN
             raise ValueError(f"--step must be positive and finite, got {args.step}")
-        n_steps = int(round((args.to - getattr(args, "from")) / args.step))
-        grid = [getattr(args, "from") + k * args.step for k in range(n_steps + 1)]
-    done = []
-    out_path = args.out
-    if args.resume:
-        with open(args.resume) as fh:
-            done = read_sweep_csv(fh.read())
-        out_path = out_path or args.resume
-
-    cfg = _config_from_args(args, stop_on_loss=1e-12)
+        n_steps = int(round((args.to - start) / args.step))
+        grid = [start + k * args.step for k in range(n_steps + 1)]
+    done = read_sweep_csv(_read(args.resume)) if args.resume else []
+    args.out = args.out or args.resume  # a resumed sweep rewrites its CSV by default
     written = []
 
-    def flush(rows):
-        # write a sibling temp file, then rename over the target, so a crash
-        # mid-write leaves the previous complete CSV in place
-        text = SweepResult(rows).csv()
-        if out_path not in (None, "-"):
-            tmp_path = out_path + ".tmp"
-            with open(tmp_path, "w") as fh:
-                fh.write(text)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_path, out_path)
-
-    def on_row(row):
+    def on_row(row):  # rewrite the CSV after every completed point
         written.append(row)
-        flush(done + written)  # rewrite after every completed point
+        _write(args.out, SweepResult(done + written).csv())
 
-    result = sweep(args.n, args.K, args.d, grid, mu=args.mu, config=cfg,
-                   done=done, on_row=on_row)
-    flush(result.rows)
-    if out_path in (None, "-"):
-        sys.stdout.write(result.csv())
-    return 0
+    result = sweep(args.n, args.K, args.d, grid, mu=args.mu, config=_config(args, 1e-12),
+                   done=done, on_row=None if args.out in (None, "-") else on_row)
+    return result.csv(), 0
 
 
 def _cmd_optimize(args):
-    n, K, d, mode, mu, lam = args.n, args.K, args.d, args.mode, args.mu, args.lambda_target
+    mode, lam = args.mode, args.lambda_target
     if lam is not None and not math.isfinite(lam):
         raise ValueError(f"lambda_target must be finite, got {lam}")
     if mode == "target_length" and lam is None:
         raise ValueError("target_length mode needs lambda_target (--lambda-target)")
-    cfg = _config_from_args(args)
-    spec = LossSpec(
-        kind=mode,
-        mu=mu,
-        target_length=abs(lam) if mode == "target_length" else None,
-    )
-    basis = enumerate_error_basis(n, d)
-    result = optimize(n, K, basis, spec, cfg)
+    cfg = _config(args, None)
+    spec = LossSpec(kind=mode, mu=args.mu,
+                    target_length=abs(lam) if mode == "target_length" else None)
+    result = optimize(args.n, args.K, enumerate_error_basis(args.n, args.d), spec, cfg)
     payload = {
-        "format": RESULT_JSON_FORMAT,
-        "mode": mode,
-        "mu": mu,
-        "lambda_target": lam,
-        "kl_violation": result.kl_violation,
-        "lambda_star": result.lambda_star,
-        "lambda_sq": result.lambda_star ** 2,
-        "final_loss": result.final_loss,
-        "iterations": result.iterations,
-        "restarts_used": result.restarts_used,
-        "stop_reason": result.stop_reason,
-        "converged": result.converged,
-        "wall_time_ms": result.wall_time_ms,
-        "code": json.loads(code_to_json(result.code)),
+        "format": RESULT_JSON_FORMAT, "mode": mode, "mu": args.mu, "lambda_target": lam,
+        "kl_violation": result.kl_violation, "lambda_star": result.lambda_star,
+        "lambda_sq": result.lambda_star ** 2, "final_loss": result.final_loss,
+        "iterations": result.iterations, "restarts_used": result.restarts_used,
+        "stop_reason": result.stop_reason, "converged": result.converged,
+        "wall_time_ms": result.wall_time_ms, "code": json.loads(code_to_json(result.code)),
     }
-    _write(args.out, json.dumps(payload, indent=2) + "\n")
-    return 0
+    return json.dumps(payload, indent=2) + "\n", 0
 
 
 def _cmd_construct(args):
-    rows = None
-    if args.generators:
-        with open(args.generators) as fh:
-            rows = [ln for ln in fh.read().splitlines() if ln.strip()]
-    e_vector = _floats("--e-vector", args.e_vector) if args.e_vector else None
     code, info = construct_code(
-        args.family, theta=args.theta, e_vector=e_vector, seed=args.seed,
-        lambda_star=args.lambda_star, branch=args.branch, variant=args.variant,
-        name=args.name, rows=rows,
-    )
-    payload = json.loads(code_to_json(code))
-    payload["info"] = info
-    _write(args.out, json.dumps(payload) + "\n")
-    return 0
-
-
-def _load_code(path):
-    if path == "-":
-        return code_from_json(sys.stdin.read())
-    with open(path) as fh:
-        return code_from_json(fh.read())
+        args.family, theta=args.theta, seed=args.seed, lambda_star=args.lambda_star,
+        branch=args.branch, variant=args.variant, name=args.name,
+        rows=_lines(args.generators) if args.generators else None,
+        e_vector=_floats("--e-vector", args.e_vector) if args.e_vector else None)
+    return json.dumps({**json.loads(code_to_json(code)), "info": info}) + "\n", 0
 
 
 def _cmd_verify(args):
-    code = _load_code(args.code)
+    code = code_from_json(_read(args.code))
     report = verify_code(code, d=args.d, tol=args.kl_tol, seed=args.seed)
-    _write(args.out, json.dumps(report, indent=2) + "\n")
-    return 0 if report["valid"] else 1
+    return json.dumps(report, indent=2) + "\n", 0 if report["valid"] else 1
 
 
 def _cmd_enumerate(args):
-    code = _load_code(args.code)
-    we = weight_enumerators(code)
-    _write(args.out, enumerator_to_csv(we))
-    return 0
+    return enumerator_to_csv(weight_enumerators(code_from_json(_read(args.code)))), 0
 
 
 def _cmd_signature(args):
-    code = _load_code(args.code)
-    basis = enumerate_error_basis(code.n, args.d)
-    sig = signature_vector(code, basis, args.kl_tol)
-    _write(args.out, signature_to_csv(sig))
-    return 0
+    code = code_from_json(_read(args.code))
+    sig = signature_vector(code, enumerate_error_basis(code.n, args.d), args.kl_tol)
+    return signature_to_csv(sig), 0
 
 
 def _cmd_jnr(args):
-    with open(args.operators) as fh:
-        words = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+    words = _lines(args.operators)
     if not words:
         raise ValueError(f"operator file {args.operators!r} lists no Pauli words")
-    cfg = OptimizerConfig(seed=args.seed, restarts=args.restarts, max_iters=args.max_iters)
-    points = jnr_feasibility(words, args.K, cfg)
+    points = jnr_feasibility(words, args.K, _config(args, None))
     lines = [",".join(words) + ",residual,hits"]
-    for p in points:
-        lines.append(
-            ",".join(repr(v) for v in p.values) + f",{p.residual!r},{p.hits}"
-        )
-    _write(args.out, "\n".join(lines) + "\n")
-    return 0
+    lines.extend(",".join(repr(v) for v in p.values) + f",{p.residual!r},{p.hits}"
+                 for p in points)
+    return "\n".join(lines) + "\n", 0
+
+
+# flags that several subcommands share; --restarts takes its default per subcommand
+_SHARED_FLAGS = {
+    "code": dict(help="code JSON path or - for stdin"),
+    "--n": dict(type=int, required=True),
+    "--K": dict(type=int, required=True),
+    "--d": dict(type=int, default=3),
+    "--mu": dict(type=float, default=1000.0),
+    "--restarts": dict(type=int),
+    "--max-iters": dict(type=int, default=2000),
+    "--seed": dict(type=int, default=0),
+    "--kl-tol": dict(type=float, default=DEFAULT_KL_TOL),
+    "--out": dict(type=str, default=None, help="output file; stdout when absent or -"),
+}
+_SEARCH_FLAGS = "--n --K --d --mu --restarts --max-iters --seed --kl-tol --out"
+
+
+def _command(sub, name, func, help, flags, **defaults):
+    p = sub.add_parser(name, help=help)
+    for flag in flags.split():
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+    p.set_defaults(func=func, **defaults)
+    return p
 
 
 def build_parser():
@@ -418,31 +398,21 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep", help="scan target lambda*^2 values, CSV out")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--d", type=int, default=3)
+    p = _command(sub, "sweep", _cmd_sweep, "scan target lambda*^2 values, CSV out",
+                 _SEARCH_FLAGS, restarts=12)
     p.add_argument("--from", type=float, default=0.5, dest="from")
     p.add_argument("--to", type=float, default=1.1)
     p.add_argument("--step", type=float, default=0.02)
     p.add_argument("--grid", type=str, default=None, help="comma list overriding from/to/step")
     p.add_argument("--resume", type=str, default=None, help="existing CSV to continue")
-    p.add_argument("--out", type=str, default=None)
-    _add_optimizer_flags(p, restarts=12)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("optimize", help="single search, result JSON out")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--d", type=int, default=3)
+    p = _command(sub, "optimize", _cmd_optimize, "single search, result JSON out",
+                 _SEARCH_FLAGS, restarts=50)
     p.add_argument("--mode", type=str, default="minimize_length",
                    choices=["kl_only", "minimize_length", "maximize_length", "target_length"])
     p.add_argument("--lambda-target", type=float, default=None)
-    p.add_argument("--out", type=str, default=None)
-    _add_optimizer_flags(p, restarts=50)
-    p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("construct", help="build an exact code, JSON out")
+    p = _command(sub, "construct", _cmd_construct, "build an exact code, JSON out", "--seed --out")
     p.add_argument("family", choices=["family623", "family723", "permcode", "stabilizer"])
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--e-vector", type=str, default=None, help="comma list of 5 reals")
@@ -451,39 +421,16 @@ def build_parser():
     p.add_argument("--variant", type=str, default="plus", choices=["plus", "minus"])
     p.add_argument("--name", type=str, default=None, help="builtin stabilizer code name")
     p.add_argument("--generators", type=str, default=None, help="generator file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("verify", help="re-check a code JSON")
-    p.add_argument("code", help="code JSON path or - for stdin")
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--kl-tol", type=float, default=DEFAULT_KL_TOL)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=_cmd_verify)
+    _command(sub, "verify", _cmd_verify, "re-check a code JSON", "code --d --kl-tol --seed --out")
+    _command(sub, "enumerate", _cmd_enumerate, "weight enumerator CSV for a code JSON",
+             "code --out")
+    _command(sub, "signature", _cmd_signature, "signature vector CSV for a code JSON",
+             "code --d --kl-tol --out")
 
-    p = sub.add_parser("enumerate", help="weight enumerator CSV for a code JSON")
-    p.add_argument("code")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("signature", help="signature vector CSV for a code JSON")
-    p.add_argument("code")
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--kl-tol", type=float, default=DEFAULT_KL_TOL)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=_cmd_signature)
-
-    p = sub.add_parser("jnr", help="rank-K joint numerical range feasibility")
-    p.add_argument("--operators", type=str, required=True,
-                   help="file with one Pauli word per line")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=200)
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=_cmd_jnr)
+    p = _command(sub, "jnr", _cmd_jnr, "rank-K joint numerical range feasibility",
+                 "--K --restarts --max-iters --seed --out", restarts=200)
+    p.add_argument("--operators", type=str, required=True, help="one Pauli word per line")
 
     return parser
 
@@ -491,10 +438,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, status = args.func(args)
+        _write(args.out, text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

@@ -57,10 +57,6 @@ class PauliString:
         return len(self.letters)
 
     @cached_property
-    def weight(self):
-        return sum(ch != "I" for ch in self.letters)
-
-    @cached_property
     def x_mask(self):
         """Bit mask of sites that flip basis states (X or Y letters)."""
         mask = 0

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import os
@@ -113,6 +114,12 @@ def test_resumed_sweep_starts_cold():
     # done rows carry no code, so the first new point is a cold search
     cold = sweep(2, 1, 2, [0.7], config=cfg).rows
     assert _without_wall_ms(seen[:1]) == _without_wall_ms(cold)
+
+
+def test_sweep_computes_a_repeated_target_once():
+    assert len(sweep(2, 1, 2, [0.5, 0.5], config=fast_config()).rows) == 1
+    rows = sweep(2, 1, 2, [0.5, 1.1, 0.5 + 1e-14], config=fast_config()).rows
+    assert [r.target_lambda_sq for r in rows] == [0.5, 1.1]  # equal to 12 digits
 
 
 def test_sweep_rows_sorted():
@@ -389,8 +396,13 @@ def test_cli_sweep_resume_rejects_truncated_row(tmp_path):
                  "--restarts", "1", "--resume", str(path)]) == 2
 
 
-def test_cli_sweep_failed_write_keeps_previous_csv(tmp_path, monkeypatch):
-    path = tmp_path / "sweep.csv"
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "2", "--K", "1", "--d", "2", "--grid", "0.4,1.0",
+     "--restarts", "1", "--max-iters", "50", "--resume"],
+    ["construct", "stabilizer", "--name", "steane", "--out"],
+], ids=["sweep", "construct"])
+def test_cli_failed_write_keeps_previous_file(tmp_path, monkeypatch, argv):
+    path = tmp_path / "previous.csv"
     previous = SWEEP_CSV_HEADER + "\n" + SweepRow(0.4, 1e-14, 1e-16, 0.4, 2, 10).csv() + "\n"
     path.write_text(previous)
 
@@ -398,9 +410,28 @@ def test_cli_sweep_failed_write_keeps_previous_csv(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    assert main(["sweep", "--n", "2", "--K", "1", "--d", "2", "--grid", "0.4,1.0",
-                 "--restarts", "1", "--max-iters", "50", "--resume", str(path)]) == 2
+    assert main([*argv, str(path)]) == 2
     assert path.read_text() == previous
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate", "signature"])
+def test_cli_stdin_and_stdout_carry_the_file_bytes(tmp_path, monkeypatch, capsys, command):
+    code_path = tmp_path / "steane.json"
+    assert main(["construct", "stabilizer", "--name", "steane", "--out", str(code_path)]) == 0
+    out = tmp_path / "out.txt"
+    assert main([command, str(code_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "steane.json"]  # no .tmp
+    capsys.readouterr()
+    assert main([command, str(code_path)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(code_path.read_text()))
+    assert main([command, "-", "--out", "-"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    # a device is written in place, not replaced through a sibling temp file
+    device = tmp_path / "null"
+    device.symlink_to(os.devnull)
+    assert main([command, str(code_path), "--out", str(device)]) == 0
+    assert device.is_symlink() and not (tmp_path / "null.tmp").exists()
 
 
 def test_cli_rejects_bad_numeric_input(tmp_path, capsys):
@@ -500,8 +531,13 @@ def test_cli_rejects_code_dimension_above_hilbert_space(command):
     (["construct", "family623", "--theta", "inf"], "theta"),
     (["construct", "family623", "--e-vector", "nan,0,0,0,0"], "e must"),
     (["construct", "family623", "--e-vector", "0.5,0,0,0,inf"], "e must"),
+    (["construct", "family623", "--theta", "0.3", "--e-vector", "0.5,0,0,0,0"],
+     "family623 takes --theta or --e-vector, not both"),
+    (["construct", "stabilizer", "--name", "steane", "--generators", os.devnull],
+     "stabilizer takes --name or --generators, not both"),
 ], ids=["no-lambda-star", "bad-sign", "one-sign", "three-signs", "no-generators",
-        "lambda-nan", "lambda-inf", "theta-nan", "theta-inf", "e-nan", "e-inf"])
+        "lambda-nan", "lambda-inf", "theta-nan", "theta-inf", "e-nan", "e-inf",
+        "theta-and-e-vector", "name-and-generators"])
 def test_cli_construct_rejects_bad_input(argv, name, capsys):
     assert main(argv) == 2
     assert name in capsys.readouterr().err

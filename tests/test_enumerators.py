@@ -34,10 +34,10 @@ def brute_force_enumerator(code):
     A = np.zeros(n + 1)
     B = np.zeros(n + 1)
     for letters in itertools.product("IXYZ", repeat=n):
-        w = pauli_from_string("".join(letters))
-        O = dense_matrix(w)
-        A[w.weight] += abs(np.trace(O @ P)) ** 2
-        B[w.weight] += np.trace(O @ P @ O.conj().T @ P).real
+        O = dense_matrix(pauli_from_string("".join(letters)))
+        weight = sum(ch != "I" for ch in letters)
+        A[weight] += abs(np.trace(O @ P)) ** 2
+        B[weight] += np.trace(O @ P @ O.conj().T @ P).real
     return A / K ** 2, B / K
 
 

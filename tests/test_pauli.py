@@ -21,10 +21,11 @@ def random_word(n):
 
 def test_parse_examples():
     p = pauli_from_string("YIZXXY")
-    assert p.n == 6 and p.weight == 5
-    assert pauli_from_string("IIIIII").weight == 0
+    assert p.n == 6 and (p.x_mask, p.z_mask) == (0b100111, 0b101001)
+    identity = pauli_from_string("IIIIII")
+    assert identity.n == 6 and identity.x_mask == identity.z_mask == 0
     q = pauli_from_string("XZZXI")
-    assert q.n == 5 and q.weight == 4
+    assert q.n == 5 and (q.x_mask, q.z_mask) == (0b10010, 0b01100)
 
 
 def test_parse_invalid_character_names_position():
@@ -135,8 +136,8 @@ def brute_force_basis(n, d):
 def test_error_basis_counts_and_order():
     b = enumerate_error_basis(6, 3)
     assert len(b) == 153
-    assert sum(op.weight == 1 for op in b) == 18
-    assert sum(op.weight == 2 for op in b) == 135
+    weights = [sum(ch != "I" for ch in op.letters) for op in b]
+    assert weights.count(1) == 18 and weights.count(2) == 135
     assert len(enumerate_error_basis(7, 3)) == 210
     b2 = enumerate_error_basis(2, 2)
     assert {op.letters for op in b2} == {"XI", "YI", "ZI", "IX", "IY", "IZ"}

@@ -21,7 +21,8 @@ L-BFGS-B call is seen) on one BLAS thread, and records the evaluations and
 iterations of one pass of the ``search`` workload, the criterion-6 sweep
 (seed 1606, 31 points, its restarts and verdicts) and a per-restart table
 (lambda*^2, KL residual, final loss, iterations, evaluations and how each
-stage ended) of the fixed searches in SEARCHES.
+stage ended) of the fixed searches in SEARCHES; a target-length search's rows
+also carry ``target_gap``, lambda*^2 minus the target.
 """
 
 import argparse
@@ -124,6 +125,8 @@ def quality(checkout):
                     "evaluations": sum(st["evaluations"] for st in own),
                     "stage_ends": [st["message"] for st in own],
                 })
+                if target_sq is not None:  # each side's end point against its target
+                    table[-1]["target_gap"] = s.lambda_sq - target_sq
             out["searches"][label] = {
                 "wall_s": wall,
                 "evaluations": sum(r["evaluations"] for r in table),
