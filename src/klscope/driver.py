@@ -1,13 +1,15 @@
 """Sweep harness and command-line interface.
 
 Subcommands: sweep (feasibility scan of target lengths, CSV out), optimize
-(single search, JSON out), construct (exact families and built-in stabilizer
-codes, code JSON out), verify (re-check a code JSON), enumerate (weight
-enumerator CSV), signature (signature vector CSV), jnr (joint-numerical-range
-feasibility CSV).  Each writes to stdout, or with ``--out`` replaces a file.
+(single search, JSON out), construct (code JSON out; one subcommand per family,
+family623, family723, permcode and stabilizer, each taking only its own
+flags), verify (re-check a code JSON), enumerate (weight enumerator CSV),
+signature (signature vector CSV), jnr (joint-numerical-range feasibility CSV).
+Each writes to stdout, or with ``--out`` replaces a file.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -152,56 +154,6 @@ def read_sweep_csv(text):
     return rows
 
 
-# ---------------------------------------------------------------------------
-# construct / verify helpers shared by the CLI and tests
-
-
-def construct_code(kind, *, theta=None, e_vector=None, seed=0, lambda_star=None,
-                   branch="--", variant="plus", name=None, rows=None):
-    """Build a code by family name; returns (CodeSubspace, info dict)."""
-    if kind == "family623":
-        if theta is not None and e_vector is not None:
-            raise ValueError("family623 takes --theta or --e-vector, not both")
-        if theta is not None:
-            frame = families.single_param_frame_623(float(theta))
-        elif e_vector is not None:
-            rng = np.random.default_rng(seed)
-            frame = families.frame_with_e(np.asarray(e_vector, dtype=float), rng)
-        else:
-            raise ValueError("family623 needs --theta or --e-vector")
-        code = families.code_623(frame)
-        return code, {"family": "623", "e": frame.e.tolist()}
-    if kind == "family723":
-        if lambda_star is None:
-            raise ValueError("family723 needs --lambda-star")
-        lam = float(lambda_star)
-        # argparse reads the documented `--branch=--` as an empty value
-        branch = branch or "--"
-        signs = {"+": 1, "-": -1}
-        if len(branch) != 2 or not set(branch) <= set(signs):
-            raise ValueError(f"--branch must be two signs from + and -, got {branch!r}")
-        coeffs = families.cyclic_coeffs_from_lambda(
-            lam, branch_c1=signs[branch[0]], branch_c3=signs[branch[1]]
-        )
-        code = families.cyclic_code_723(coeffs)
-        return code, {
-            "family": "723-cyclic",
-            "coefficients": coeffs.as_array.tolist(),
-            "branch": branch,
-        }
-    if kind == "permcode":
-        return families.perm_code_723(variant), {"family": "723-perm", "variant": variant}
-    if kind == "stabilizer":
-        if name and rows is not None:
-            raise ValueError("stabilizer takes --name or --generators, not both")
-        stab = builtin(name) if name else parse_generators(rows or [])
-        return codespace_from_stabilizer(stab), {
-            "family": "stabilizer",
-            "generators": list(stab.generators),
-        }
-    raise ValueError(f"unknown constructor {kind!r}")
-
-
 def verify_code(code, d=3, tol=DEFAULT_KL_TOL, lu_samples=3, seed=0):
     """Re-check a code: KL residual, lambda*, enumerator identity, LU drift."""
     if not 0 <= tol < math.inf:  # also rejects NaN
@@ -260,11 +212,16 @@ def _write(path, text):
         with open(path, "w") as fh:
             fh.write(text)
     else:
-        with open(path + ".tmp", "w") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(path + ".tmp", path)
+        try:
+            with open(path + ".tmp", "w") as fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(path + ".tmp", path)
+        except BaseException:  # a failed write leaves no temp file
+            with contextlib.suppress(OSError):
+                os.remove(path + ".tmp")
+            raise
 
 
 def _floats(flag, text):
@@ -313,8 +270,9 @@ def _cmd_optimize(args):
     mode, lam = args.mode, args.lambda_target
     if lam is not None and not math.isfinite(lam):
         raise ValueError(f"lambda_target must be finite, got {lam}")
-    if mode == "target_length" and lam is None:
-        raise ValueError("target_length mode needs lambda_target (--lambda-target)")
+    if (mode == "target_length") != (lam is not None):
+        raise ValueError(f"lambda_target goes with target_length mode only, which needs it; "
+                         f"got mode {mode} with lambda_target {lam}")
     cfg = _config(args, None)
     spec = LossSpec(kind=mode, mu=args.mu,
                     target_length=abs(lam) if mode == "target_length" else None)
@@ -330,13 +288,38 @@ def _cmd_optimize(args):
     return json.dumps(payload, indent=2) + "\n", 0
 
 
-def _cmd_construct(args):
-    code, info = construct_code(
-        args.family, theta=args.theta, seed=args.seed, lambda_star=args.lambda_star,
-        branch=args.branch, variant=args.variant, name=args.name,
-        rows=_lines(args.generators) if args.generators else None,
-        e_vector=_floats("--e-vector", args.e_vector) if args.e_vector else None)
+def _construct(args):
+    """The code JSON of the family handler ``args.build``, its info appended."""
+    code, info = args.build(args)
     return json.dumps({**json.loads(code_to_json(code)), "info": info}) + "\n", 0
+
+
+def _family623(args):
+    if args.theta is not None:
+        frame = families.single_param_frame_623(args.theta)
+    else:
+        e = np.asarray(_floats("--e-vector", args.e_vector))
+        frame = families.frame_with_e(e, np.random.default_rng(args.seed))
+    return families.code_623(frame), {"family": "623", "e": frame.e.tolist()}
+
+
+def _family723(args):
+    branch = args.branch or "--"  # argparse reads the documented `--branch=--` as an empty value
+    signs = {"+": 1, "-": -1}
+    coeffs = families.cyclic_coeffs_from_lambda(
+        args.lambda_star, branch_c1=signs[branch[0]], branch_c3=signs[branch[1]])
+    return families.cyclic_code_723(coeffs), {
+        "family": "723-cyclic", "coefficients": coeffs.as_array.tolist(), "branch": branch}
+
+
+def _permcode(args):
+    return families.perm_code_723(args.variant), {"family": "723-perm", "variant": args.variant}
+
+
+def _stabilizer(args):
+    stab = parse_generators(_lines(args.generators)) if args.name is None else builtin(args.name)
+    return codespace_from_stabilizer(stab), {"family": "stabilizer",
+                                             "generators": list(stab.generators)}
 
 
 def _cmd_verify(args):
@@ -412,15 +395,25 @@ def build_parser():
                    choices=["kl_only", "minimize_length", "maximize_length", "target_length"])
     p.add_argument("--lambda-target", type=float, default=None)
 
-    p = _command(sub, "construct", _cmd_construct, "build an exact code, JSON out", "--seed --out")
-    p.add_argument("family", choices=["family623", "family723", "permcode", "stabilizer"])
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--e-vector", type=str, default=None, help="comma list of 5 reals")
-    p.add_argument("--lambda-star", type=float, default=None)
-    p.add_argument("--branch", type=str, default="--", help="two signs: c1 branch, c3 branch")
+    # construct: one subcommand per family, each declaring only the flags it reads
+    construct = sub.add_parser("construct", help="build an exact code, JSON out").add_subparsers(
+        dest="family", required=True)
+    p = _command(construct, "family623", _construct, "((6,2,3)) frame family", "--seed --out",
+                 build=_family623).add_mutually_exclusive_group(required=True)
+    p.add_argument("--theta", type=float)
+    p.add_argument("--e-vector", type=str, help="comma list of 5 reals")
+    p = _command(construct, "family723", _construct, "((7,2,3)) cyclic family", "--out",
+                 build=_family723)
+    p.add_argument("--lambda-star", type=float, required=True)
+    p.add_argument("--branch", type=str, default="--", choices=["++", "+-", "-+", "--"],
+                   help="two signs: c1 branch, c3 branch")
+    p = _command(construct, "permcode", _construct, "((7,2,3)) permutation-invariant code",
+                 "--out", build=_permcode)
     p.add_argument("--variant", type=str, default="plus", choices=["plus", "minus"])
-    p.add_argument("--name", type=str, default=None, help="builtin stabilizer code name")
-    p.add_argument("--generators", type=str, default=None, help="generator file")
+    p = _command(construct, "stabilizer", _construct, "stabilizer code", "--out",
+                 build=_stabilizer).add_mutually_exclusive_group(required=True)
+    p.add_argument("--name", type=str, help="builtin stabilizer code name")
+    p.add_argument("--generators", type=str, help="generator file")
 
     _command(sub, "verify", _cmd_verify, "re-check a code JSON", "code --d --kl-tol --seed --out")
     _command(sub, "enumerate", _cmd_enumerate, "weight enumerator CSV for a code JSON",

@@ -27,7 +27,6 @@ from klscope.driver import (
     SweepResult,
     SweepRow,
     build_parser,
-    construct_code,
     main,
     read_sweep_csv,
     sweep,
@@ -36,7 +35,7 @@ from klscope.driver import (
 from klscope.enumerators import weight_enumerators
 from klscope.optimizer import SETTLE_RESTARTS, OptimizerConfig
 from klscope.pauli import MarginalKernel, enumerate_error_basis
-from klscope.stabilizer import BUILTIN_GENERATORS
+from klscope.stabilizer import BUILTIN_GENERATORS, builtin, codespace_from_stabilizer
 
 
 def fast_config(**kw):
@@ -128,8 +127,15 @@ def test_sweep_rows_sorted():
     assert targets == sorted(targets)
 
 
-def test_construct_family723_and_verify():
-    code, info = construct_code("family723", lambda_star=1.0, branch="--")
+def _constructed(tmp_path, *argv):
+    """The code and info that ``klscope construct *argv`` writes."""
+    path = tmp_path / "code.json"
+    assert main(["construct", *argv, "--out", str(path)]) == 0
+    return code_from_json(path.read_text()), json.loads(path.read_text())["info"]
+
+
+def test_construct_family723_and_verify(tmp_path):
+    code, info = _constructed(tmp_path, "family723", "--lambda-star", "1.0", "--branch=--")
     report = verify_code(code)
     assert report["valid"]
     assert abs(report["lambda_star"] - 1.0) <= 1e-8
@@ -141,7 +147,7 @@ def test_construct_family723_and_verify():
 @pytest.mark.parametrize("d", [2, 3])
 def test_verify_checks_the_enumerator_identity_of_its_distance(d):
     # lambda*^2 = A_1 + ... + A_{d-1}: shaw623 has lambda* = 0 at d = 2 but A_2 = 1
-    code = construct_code("stabilizer", name="shaw623")[0]
+    code = codespace_from_stabilizer(builtin("shaw623"))
     report = verify_code(code, d=d)
     we = weight_enumerators(code)
     assert report["valid"] and report["enumerator_consistent"]
@@ -158,7 +164,7 @@ def test_verify_contracts_each_code_once(monkeypatch):
         return values(self, psi)
 
     monkeypatch.setattr(MarginalKernel, "values", counting)
-    report = verify_code(construct_code("stabilizer", name="steane")[0], lu_samples=4)
+    report = verify_code(codespace_from_stabilizer(builtin("steane")), lu_samples=4)
     assert report["valid"]
     assert len(calls) == 1 + 4  # the code, then each local-unitary image
 
@@ -173,7 +179,7 @@ def test_verify_draws_the_per_factor_haar_unitaries(monkeypatch):
     apply = driver.apply_local_unitary
     monkeypatch.setattr(driver, "apply_local_unitary",
                         lambda code, factors: seen.append(factors) or apply(code, factors))
-    code = construct_code("stabilizer", name="steane")[0]
+    code = codespace_from_stabilizer(builtin("steane"))
     verify_code(code, lu_samples=3, seed=11)
     rng = np.random.default_rng(11)
     assert len(seen) == 3
@@ -182,27 +188,29 @@ def test_verify_draws_the_per_factor_haar_unitaries(monkeypatch):
         assert factors.tobytes() == reference.tobytes()
 
 
-def test_construct_family623_theta_and_e_vector():
-    code, info = construct_code("family623", theta=0.0)
+def test_construct_family623_theta_and_e_vector(tmp_path):
+    code, info = _constructed(tmp_path, "family623", "--theta", "0.0")
     basis = enumerate_error_basis(6, 3)
     assert abs(lambda_star(signature_vector(code, basis)) - 1.0) <= 1e-9
+    assert info["family"] == "623" and len(info["e"]) == 5
 
     e = [0.5 / math.sqrt(5)] * 5
-    code2, info2 = construct_code("family623", theta=None, e_vector=e, seed=3)
+    code2, info2 = _constructed(tmp_path, "family623", "--e-vector", ",".join(map(repr, e)),
+                                "--seed", "3")
     lam2 = lambda_star(signature_vector(code2, basis)) ** 2
     assert abs(lam2 - 0.6) <= 1e-9
+    assert info2 == {"family": "623", "e": e}
 
 
-def test_construct_permcode_and_stabilizer():
-    code, _ = construct_code("permcode", variant="minus")
+def test_construct_permcode_and_stabilizer(tmp_path):
+    code, info = _constructed(tmp_path, "permcode", "--variant", "minus")
     basis = enumerate_error_basis(7, 3)
     assert abs(lambda_star(signature_vector(code, basis)) - math.sqrt(7)) <= 1e-9
+    assert info == {"family": "723-perm", "variant": "minus"}
 
-    code2, info = construct_code("stabilizer", name="steane", rows=None)
+    code2, info = _constructed(tmp_path, "stabilizer", "--name", "steane")
     assert lambda_star(signature_vector(code2, basis)) <= 1e-9
-    assert len(info["generators"]) == 6
-    with pytest.raises(TypeError, match="varient"):  # a misspelled option is not ignored
-        construct_code("permcode", varient="minus")
+    assert info == {"family": "stabilizer", "generators": list(builtin("steane").generators)}
 
 
 def test_cli_construct_verify_enumerate(tmp_path):
@@ -253,16 +261,14 @@ def test_cli_shor_code_construct_verify_enumerate(tmp_path):
 @pytest.mark.parametrize("call, message", [
     (lambda: sweep(2, 1, 2, []), "empty sweep grid"),
     (lambda: read_sweep_csv("target,loss\n"), "bad sweep CSV header: 'target,loss'"),
-    (lambda: construct_code("family623"), "family623 needs --theta or --e-vector"),
-    (lambda: construct_code("family999"), "unknown constructor 'family999'"),
-], ids=["empty-grid", "csv-header", "family623-parameter", "unknown-kind"])
+], ids=["empty-grid", "csv-header"])
 def test_entry_checks_reject_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 
 
 def test_non_isometric_code_json_rejected(tmp_path):
-    code, _ = construct_code("stabilizer", name="steane")
+    code = codespace_from_stabilizer(builtin("steane"))
     payload = json.loads(code_to_json(code))
     payload["amplitudes"][1] = [[2 * re, 2 * im] for re, im in payload["amplitudes"][1]]
     text = json.dumps(payload)
@@ -274,7 +280,7 @@ def test_non_isometric_code_json_rejected(tmp_path):
 
 
 def _steane_payload():
-    return json.loads(code_to_json(construct_code("stabilizer", name="steane")[0]))
+    return json.loads(code_to_json(codespace_from_stabilizer(builtin("steane"))))
 
 
 @pytest.mark.parametrize("malformed", [
@@ -412,6 +418,7 @@ def test_cli_failed_write_keeps_previous_file(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(os, "replace", failing_replace)
     assert main([*argv, str(path)]) == 2
     assert path.read_text() == previous
+    assert not (tmp_path / "previous.csv.tmp").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "enumerate", "signature"])
@@ -449,8 +456,8 @@ def test_cli_rejects_bad_numeric_input(tmp_path, capsys):
     ):
         assert main(argv) == 2, argv
     capsys.readouterr()
-    # non-finite (and negative tolerance) values are refused before any search,
-    # by an error naming them
+    # non-finite (and negative tolerance) values, and a lambda target outside
+    # target_length mode, are refused before any search, by an error naming them
     for argv, name in (
         (["optimize", "--mu", "nan"], "mu"),
         (["optimize", "--mu", "inf"], "mu"),
@@ -459,6 +466,7 @@ def test_cli_rejects_bad_numeric_input(tmp_path, capsys):
         (["optimize", "--mode", "target_length", "--lambda-target", "nan"], "lambda_target"),
         (["optimize", "--mode", "kl_only", "--lambda-target", "inf"], "lambda_target"),
         (["optimize", "--mode", "target_length"], "lambda_target"),
+        (["optimize", "--mode", "minimize_length", "--lambda-target", "0.5"], "lambda_target"),
         (["sweep", "--grid", "0.5,nan"], "grid"),
         (["sweep", "--grid", "inf"], "grid"),
         (["sweep", "--step", "nan"], "--step"),
@@ -487,7 +495,7 @@ def test_verify_rejects_negative_tolerance(tmp_path, capsys):
     code_path = tmp_path / "steane.json"
     assert main(["construct", "stabilizer", "--name", "steane", "--out", str(code_path)]) == 0
     with pytest.raises(ValueError, match="tol"):
-        verify_code(construct_code("stabilizer", name="steane")[0], tol=-1.0)
+        verify_code(codespace_from_stabilizer(builtin("steane")), tol=-1.0)
     capsys.readouterr()
     assert main(["verify", str(code_path), "--kl-tol", "-1"]) == 2
     assert "tol must be non-negative" in capsys.readouterr().err
@@ -519,7 +527,17 @@ def test_cli_rejects_code_dimension_above_hilbert_space(command):
     assert "1 <= K <= 4" in done.stderr
 
 
+def _status(argv):
+    """main's exit status, or the code of the SystemExit that argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("argv, name", [
+    (["construct", "family623"], "one of the arguments --theta --e-vector is required"),
+    (["construct", "family999"], "invalid choice: 'family999'"),
     (["construct", "family723"], "--lambda-star"),
     (["construct", "family723", "--lambda-star", "1.0", "--branch", "x-"], "--branch"),
     (["construct", "family723", "--lambda-star", "1.0", "--branch", "+"], "--branch"),
@@ -532,15 +550,29 @@ def test_cli_rejects_code_dimension_above_hilbert_space(command):
     (["construct", "family623", "--e-vector", "nan,0,0,0,0"], "e must"),
     (["construct", "family623", "--e-vector", "0.5,0,0,0,inf"], "e must"),
     (["construct", "family623", "--theta", "0.3", "--e-vector", "0.5,0,0,0,0"],
-     "family623 takes --theta or --e-vector, not both"),
+     "argument --e-vector: not allowed with argument --theta"),
     (["construct", "stabilizer", "--name", "steane", "--generators", os.devnull],
-     "stabilizer takes --name or --generators, not both"),
-], ids=["no-lambda-star", "bad-sign", "one-sign", "three-signs", "no-generators",
-        "lambda-nan", "lambda-inf", "theta-nan", "theta-inf", "e-nan", "e-inf",
-        "theta-and-e-vector", "name-and-generators"])
+     "argument --generators: not allowed with argument --name"),
+], ids=["family623-parameter", "unknown-kind", "no-lambda-star", "bad-sign", "one-sign",
+        "three-signs", "no-generators", "lambda-nan", "lambda-inf", "theta-nan", "theta-inf",
+        "e-nan", "e-inf", "theta-and-e-vector", "name-and-generators"])
 def test_cli_construct_rejects_bad_input(argv, name, capsys):
-    assert main(argv) == 2
+    # the parser refuses a missing, unknown or conflicting flag (SystemExit); the
+    # library refuses a bad value (status 2 from main); both name it
+    assert _status(argv) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "permcode", "--theta", "0.3"],
+    ["construct", "stabilizer", "--name", "steane", "--seed", "4"],
+    ["construct", "family623", "--theta", "0", "--variant", "minus"],
+], ids=["permcode-theta", "stabilizer-seed", "family623-variant"])
+def test_cli_construct_refuses_another_familys_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
 def test_cli_rejects_input_naming_it(tmp_path, capsys):

@@ -178,6 +178,8 @@ def main(argv=None):
                         default=[f"{w['name']}:1606" for w in config["workloads"]])
     parser.add_argument("--quality", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.pairs < 2:  # each side's quartiles need two runs
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
     if args.quality:
         json.dump(quality(args.quality.resolve()), sys.stdout)
         return 0
