@@ -175,16 +175,20 @@ def purity(rho):
 
 
 def apply_local_unitary(code, factors):
-    """Transform a code by a tensor product of single-qubit unitaries."""
+    """Transform a code by a tensor product of n 2x2 unitaries, or one (n, 2, 2) stack."""
     if len(factors) != code.n:
         raise ValueError(f"need {code.n} factors, got {len(factors)}")
-    # qubit k + 1 is axis k of the (2,)*n + (K,) reshape; each factor acts on its axis
-    psi = code.basis.reshape((2,) * code.n + (code.K,))
     for k, u in enumerate(factors):
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (2, 2) or np.abs(u.conj().T @ u - np.eye(2)).max() > 1e-12:
+        if np.shape(u) != (2, 2):
             raise ValueError(f"factor {k + 1} is not a 2x2 unitary")
-        psi = np.moveaxis(np.tensordot(u, psi, axes=(1, k)), 0, k)
+    u = np.asarray(factors, dtype=complex)
+    unitary = np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(2)).max(axis=(1, 2)) <= 1e-12
+    if not unitary.all():  # a NaN factor fails the comparison too
+        raise ValueError(f"factor {unitary.argmin() + 1} is not a 2x2 unitary")
+    # qubit k + 1 is the middle axis of the (2^k, 2, rest) reshape; u[k] acts on it
+    psi = code.basis
+    for k in range(code.n):
+        psi = np.matmul(u[k], psi.reshape(2 ** k, 2, -1))
     return CodeSubspace(n=code.n, K=code.K, basis=psi.reshape(2 ** code.n, code.K))
 
 

@@ -158,6 +158,9 @@ def verify_code(code, d=3, tol=DEFAULT_KL_TOL, lu_samples=3, seed=0):
     """Re-check a code: KL residual, lambda*, enumerator identity, LU drift."""
     if not 0 <= tol < math.inf:  # also rejects NaN
         raise ValueError(f"tol must be non-negative and finite, got {tol}")
+    integral = isinstance(lu_samples, (int, np.integer)) and not isinstance(lu_samples, bool)
+    if not integral or lu_samples < 0:
+        raise ValueError(f"lu_samples must be a non-negative integer, got {lu_samples!r}")
     basis = enumerate_error_basis(code.n, d)
     violation, mean, _ = kl_residual(kl_tensor(code, basis))  # the one contraction of the code
     report = {"n": code.n, "K": code.K, "d": d, "kl_violation": violation}
@@ -296,10 +299,12 @@ def _construct(args):
 
 def _family623(args):
     if args.theta is not None:
+        if args.seed is not None:
+            raise ValueError("--seed draws the frame of --e-vector; --theta fixes its own")
         frame = families.single_param_frame_623(args.theta)
     else:
         e = np.asarray(_floats("--e-vector", args.e_vector))
-        frame = families.frame_with_e(e, np.random.default_rng(args.seed))
+        frame = families.frame_with_e(e, np.random.default_rng(args.seed or 0))
     return families.code_623(frame), {"family": "623", "e": frame.e.tolist()}
 
 
@@ -399,7 +404,7 @@ def build_parser():
     construct = sub.add_parser("construct", help="build an exact code, JSON out").add_subparsers(
         dest="family", required=True)
     p = _command(construct, "family623", _construct, "((6,2,3)) frame family", "--seed --out",
-                 build=_family623).add_mutually_exclusive_group(required=True)
+                 build=_family623, seed=None).add_mutually_exclusive_group(required=True)
     p.add_argument("--theta", type=float)
     p.add_argument("--e-vector", type=str, help="comma list of 5 reals")
     p = _command(construct, "family723", _construct, "((7,2,3)) cyclic family", "--out",

@@ -38,7 +38,7 @@ from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
+import scipy.linalg  # noqa: F401  maps L-BFGS-B's OpenBLAS; scipy.optimize loads in _restarts
 
 from .codespace import DEFAULT_KL_TOL, CodeSubspace, kl_residual
 # not called here: benchmarks/layers.py wraps these two names to count KL calls
@@ -444,6 +444,7 @@ def _restarts(m, K, action, spec, cfg, start=None):
     outcomes computed ahead of the consumer and kills the workers."""
     if not 1 <= K <= m:  # else every start is rank-deficient and the redraw never ends
         raise ValueError(f"need 1 <= K <= {m}, got {K}")
+    import scipy.optimize  # noqa: F401  once, before any fork; a process with no search saves 19 MB
     seeds = list(enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)))
     workers = 1 if start is not None else min(_usable_cores(), len(seeds))
     with _one_blas_thread():

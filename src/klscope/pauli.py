@@ -159,7 +159,9 @@ class MarginalKernel:
     permutation, the rows of ``_signed_rows``: ``readoff`` is the (n_ops, S
     D^2) CSR matrix of those rows, applied to the blocks' Grams as rows (s,
     u, v) of K x K blocks, and ``readoff_t``, its transpose, also CSR, reads
-    the adjoint.  Every array is read-only.
+    the adjoint.  Every array is read-only but ``values``' scratch buffer for
+    the conjugated blocks (remade when K changes), so one kernel must not be
+    shared by concurrent threads; what ``values`` returns is fresh.
     """
 
     def __init__(self, words):
@@ -189,6 +191,7 @@ class MarginalKernel:
         self.inverse = np.empty((S, self.dim), dtype=np.intp)
         flat_position = np.arange(S * self.dim).reshape(S, -1)
         self.inverse[np.arange(S)[:, None], self.index.reshape(S, -1)] = flat_position
+        self._conj_blocks = np.empty(0, dtype=complex)  # values' scratch, shaped like its Y
         for arr in (self.index, self.inverse, self.readoff.data, self.readoff.indices,
                     self.readoff.indptr, self.readoff_t.data, self.readoff_t.indices,
                     self.readoff_t.indptr):
@@ -201,7 +204,10 @@ class MarginalKernel:
         S, R, D = self.index.shape
         K = psi.shape[1]
         Y = np.take(psi, self.index, axis=0).reshape(S, R, D * K)
-        gram = np.matmul(Y.conj().transpose(0, 2, 1), Y)
+        if self._conj_blocks.shape != Y.shape:
+            self._conj_blocks = np.empty(Y.shape, dtype=complex)
+        # reused: a fresh Y-sized conjugate can be mapped and faulted in anew on every call
+        gram = np.matmul(np.conjugate(Y, out=self._conj_blocks).transpose(0, 2, 1), Y)
         gram = gram.reshape(S, D, K, D, K).transpose(0, 1, 3, 2, 4).reshape(S * D * D, K * K)
         return Y, (self.readoff @ gram).reshape(-1, K, K)
 

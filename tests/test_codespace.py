@@ -217,6 +217,31 @@ def test_word_kernel_matches_direct_contraction():
             MarginalKernel(words)
 
 
+def test_kernel_scratch_leaves_returned_arrays_alone():
+    # values reuses one conjugate buffer per kernel: what it returns must not alias
+    # it, and a K other than the last call's must not read a stale buffer
+    rng = np.random.default_rng(2501)  # own stream: later tests keep their draws
+    words = [op.letters for op in enumerate_error_basis(4, 3)]
+    mats = np.array([dense_matrix(w) for w in words])
+
+    def isometry(K):
+        z = rng.standard_normal((16, K)) + 1j * rng.standard_normal((16, K))
+        return np.linalg.qr(z)[0]
+
+    kernel = MarginalKernel(words)
+    psi = isometry(2)
+    Y, values = kernel.values(psi)
+    kept = Y.copy(), values.copy()
+    kernel.values(isometry(2))
+    assert np.array_equal(Y, kept[0]) and np.array_equal(values, kept[1])
+    M = rng.standard_normal((len(words), 2, 2)) + 1j * rng.standard_normal((len(words), 2, 2))
+    assert np.abs(kernel.adjoint(Y, M) - (mats @ psi @ M).sum(0)).max() <= 1e-12
+    for K in (1, 3, 1):
+        psi = isometry(K)
+        for got, fresh in zip(kernel.values(psi), MarginalKernel(words).values(psi)):
+            assert np.array_equal(got, fresh), K
+
+
 def test_cached_kernel_is_read_only():
     basis = enumerate_error_basis(6, 3)
     kernel = basis.action
@@ -376,21 +401,33 @@ def test_apply_local_unitary_matches_kron_reference():
         z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         return np.linalg.qr(z)[0]
 
-    for n in range(1, 7):
-        for K in range(1, min(3, 2 ** n) + 1):
+    # up to the signature scan's shapes, n = 9 and K = 8; factors as a list and as
+    # the (n, 2, 2) array that verify_code passes
+    for n in range(1, 10):
+        for K in [K for K in (1, 2, 3, 8) if K <= 2 ** n]:
             code = CodeSubspace(n=n, K=K, basis=unitary_columns(2 ** n, K))
             factors = [unitary_columns(2, 2) for _ in range(n)]
             full = np.array([[1.0 + 0j]])
             for u in factors:
                 full = np.kron(full, u)
-            moved = apply_local_unitary(code, factors)
-            assert np.abs(moved.basis - full @ code.basis).max() <= 1e-12, (n, K)
+            for given in (factors, np.stack(factors)):
+                moved = apply_local_unitary(code, given)
+                assert np.abs(moved.basis - full @ code.basis).max() <= 1e-12, (n, K)
 
 
 def test_apply_local_unitary_validates():
     code = random_code(2, 1)
-    with pytest.raises(ValueError, match="unitary"):
-        apply_local_unitary(code, [np.eye(2), np.array([[1, 1], [0, 1]])])
+    shear, nan = np.array([[1, 1], [0, 1]]), np.array([[np.nan, 0], [0, 1]])
+    for factors, message in (
+        ([np.eye(2), shear], "factor 2 is not a 2x2 unitary"),
+        ([nan, np.eye(2)], "factor 1 is not a 2x2 unitary"),  # used to pass the check
+        (np.stack([np.eye(2), nan]), "factor 2 is not a 2x2 unitary"),
+        ([np.eye(2), np.eye(3)], "factor 2 is not a 2x2 unitary"),
+        ([np.eye(3), np.eye(3)], "factor 1 is not a 2x2 unitary"),
+        ([np.eye(2)], "need 2 factors, got 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            apply_local_unitary(code, factors)
 
 
 def test_lambda_star_lu_invariance_named_codes():

@@ -169,6 +169,13 @@ def test_verify_contracts_each_code_once(monkeypatch):
     assert len(calls) == 1 + 4  # the code, then each local-unitary image
 
 
+@pytest.mark.parametrize("lu_samples", [-1, 1.5, 2.0, True, "3"])
+def test_verify_rejects_bad_lu_samples(lu_samples):
+    # a negative count used to run no sample and report lu_drift 0.0
+    with pytest.raises(ValueError, match="lu_samples must be a non-negative integer"):
+        verify_code(codespace_from_stabilizer(builtin("steane")), lu_samples=lu_samples)
+
+
 def test_verify_draws_the_per_factor_haar_unitaries(monkeypatch):
     # one stacked draw gives the bytes of n per-factor draws from the same generator
     def haar_unitary(rng):
@@ -320,6 +327,11 @@ def test_cli_construct_family623_reports_the_given_e(tmp_path):
     assert main(["construct", "family623", "--e-vector=-0.5,0,0,0,0",
                  "--out", str(code_path)]) == 0
     assert json.loads(code_path.read_text())["info"]["e"] == [-0.5, 0.0, 0.0, 0.0, 0.0]
+    # without --seed the frame is drawn from seed 0
+    seeded = tmp_path / "seeded.json"
+    assert main(["construct", "family623", "--e-vector=-0.5,0,0,0,0", "--seed", "0",
+                 "--out", str(seeded)]) == 0
+    assert seeded.read_bytes() == code_path.read_bytes()
 
 
 def test_cli_signature_csv(tmp_path):
@@ -553,9 +565,10 @@ def _status(argv):
      "argument --e-vector: not allowed with argument --theta"),
     (["construct", "stabilizer", "--name", "steane", "--generators", os.devnull],
      "argument --generators: not allowed with argument --name"),
+    (["construct", "family623", "--theta", "0.3", "--seed", "4"], "--seed"),
 ], ids=["family623-parameter", "unknown-kind", "no-lambda-star", "bad-sign", "one-sign",
         "three-signs", "no-generators", "lambda-nan", "lambda-inf", "theta-nan", "theta-inf",
-        "e-nan", "e-inf", "theta-and-e-vector", "name-and-generators"])
+        "e-nan", "e-inf", "theta-and-e-vector", "name-and-generators", "theta-and-seed"])
 def test_cli_construct_rejects_bad_input(argv, name, capsys):
     # the parser refuses a missing, unknown or conflicting flag (SystemExit); the
     # library refuses a bad value (status 2 from main); both name it
