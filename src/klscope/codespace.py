@@ -153,16 +153,19 @@ def lambda_star(sig):
     return float(np.linalg.norm(sig.components))
 
 
+def is_integer(value):
+    """An int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def reduced_density_matrix(code, codeword, qubits):
     """RDM of codeword 0..K-1 on distinct qubits (1-based, taken in ascending order)."""
-    if (isinstance(codeword, bool) or not isinstance(codeword, (int, np.integer))
-            or not 0 <= codeword < code.K):
+    if not is_integer(codeword) or not 0 <= codeword < code.K:
         raise ValueError(f"codeword must be an integer in 0..{code.K - 1}, got {codeword!r}")
     qubits = sorted(qubits)
     if not qubits or len(qubits) >= code.n or len(set(qubits)) < len(qubits):
         raise ValueError(f"qubit subset must be nonempty, proper and distinct, got {qubits}")
-    integral = all(isinstance(q, (int, np.integer)) and not isinstance(q, bool) for q in qubits)
-    if not integral or qubits[0] < 1 or qubits[-1] > code.n:
+    if not all(map(is_integer, qubits)) or qubits[0] < 1 or qubits[-1] > code.n:
         raise ValueError(f"qubit indices must be integers in 1..{code.n}, got {qubits}")
     m = code.basis[subset_index(code.n, [[q - 1 for q in qubits]])[0], codeword]
     return m.T @ m.conj()

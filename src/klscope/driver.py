@@ -25,6 +25,7 @@ from .codespace import (
     apply_local_unitary,
     code_from_json,
     code_to_json,
+    is_integer,
     kl_residual,
     kl_tensor,
     lambda_star,
@@ -158,8 +159,7 @@ def verify_code(code, d=3, tol=DEFAULT_KL_TOL, lu_samples=3, seed=0):
     """Re-check a code: KL residual, lambda*, enumerator identity, LU drift."""
     if not 0 <= tol < math.inf:  # also rejects NaN
         raise ValueError(f"tol must be non-negative and finite, got {tol}")
-    integral = isinstance(lu_samples, (int, np.integer)) and not isinstance(lu_samples, bool)
-    if not integral or lu_samples < 0:
+    if not is_integer(lu_samples) or lu_samples < 0:
         raise ValueError(f"lu_samples must be a non-negative integer, got {lu_samples!r}")
     basis = enumerate_error_basis(code.n, d)
     violation, mean, _ = kl_residual(kl_tensor(code, basis))  # the one contraction of the code
@@ -167,17 +167,14 @@ def verify_code(code, d=3, tol=DEFAULT_KL_TOL, lu_samples=3, seed=0):
     if violation <= tol:
         lam = float(np.linalg.norm(mean))  # lambda*, the norm of the signature vector
         report["lambda_star"] = lam
-        we = weight_enumerators(code)
-        report["enumerator_lambda_sq"] = lambda_star_sq_from_enumerator(we, d)
-        report["enumerator_consistent"] = bool(
-            abs(report["enumerator_lambda_sq"] - lam ** 2) <= 1e-8
-        )
-        rng = np.random.default_rng(seed)
+        we = weight_enumerators(code, d)  # A_j for j < d only, so no qubit limit
+        report["enumerator_lambda_sq"] = sq = lambda_star_sq_from_enumerator(we, d)
+        report["enumerator_consistent"] = bool(abs(sq - lam ** 2) <= 1e-8)
+        # n Haar unitaries per sample, one draw: real parts g[:, :, 0], imaginary g[:, :, 1]
+        g = np.random.default_rng(seed).standard_normal((lu_samples, code.n, 2, 2, 2))
+        samples = orthonormalize((g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2))[0]
         drift = 0.0
-        for _ in range(lu_samples):
-            # n Haar unitaries from one draw: real parts g[:, 0], imaginary parts g[:, 1]
-            g = rng.standard_normal((code.n, 2, 2, 2))
-            factors = orthonormalize((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))[0]
+        for factors in samples:
             moved = apply_local_unitary(code, factors)
             sig2 = signature_vector(moved, basis, max(tol, 1e-9))
             drift = max(drift, abs(lambda_star(sig2) - lam))

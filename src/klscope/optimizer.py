@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg  # noqa: F401  maps L-BFGS-B's OpenBLAS; scipy.optimize loads in _restarts
 
-from .codespace import DEFAULT_KL_TOL, CodeSubspace, kl_residual
+from .codespace import DEFAULT_KL_TOL, CodeSubspace, is_integer, kl_residual
 # not called here: benchmarks/layers.py wraps these two names to count KL calls
 from .codespace import kl_violation as codespace_kl_violation, signature_vector  # noqa: F401
 from .pauli import ErrorBasis, MarginalKernel
@@ -106,7 +106,7 @@ class OptimizerConfig:
     def __post_init__(self):
         for name, least in (("seed", 0), ("restarts", 1), ("max_iters", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            if not is_integer(value) or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if not 0 <= self.kl_tol < math.inf:  # also rejects NaN
             raise ValueError(f"kl_tol must be non-negative and finite, got {self.kl_tol}")

@@ -19,6 +19,7 @@ from klscope.codespace import (
     code_to_json,
     kl_violation,
     lambda_star,
+    new_code,
     orthonormalize,
     signature_vector,
 )
@@ -32,7 +33,8 @@ from klscope.driver import (
     sweep,
     verify_code,
 )
-from klscope.enumerators import weight_enumerators
+from klscope.enumerators import lambda_star_sq_from_enumerator, weight_enumerators
+from klscope.families import perm_code_723
 from klscope.optimizer import SETTLE_RESTARTS, OptimizerConfig
 from klscope.pauli import MarginalKernel, enumerate_error_basis
 from klscope.stabilizer import BUILTIN_GENERATORS, builtin, codespace_from_stabilizer
@@ -155,6 +157,42 @@ def test_verify_checks_the_enumerator_identity_of_its_distance(d):
     assert abs(report["lambda_star"] ** 2 - (0.0, 1.0)[d - 2]) <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["steane", "shor913", "perm723"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_verify_reads_the_head_of_the_full_enumerator(name, d):
+    code = perm_code_723("plus") if name == "perm723" else codespace_from_stabilizer(builtin(name))
+    # these codes fail KL at d = 4; the loose tol lets that report reach the enumerator
+    report = verify_code(code, d=d, tol=1e3, lu_samples=0)
+    full = lambda_star_sq_from_enumerator(weight_enumerators(code), d)
+    assert report["enumerator_lambda_sq"] == full
+
+
+def _steane_with_six_idle_qubits():
+    """Steane (x) |0>^6, a degenerate ((13,2,3)) code with lambda*^2 = 21."""
+    steane = codespace_from_stabilizer(builtin("steane"))
+    return new_code(13, [np.kron(steane.basis[:, k], np.eye(2 ** 6)[0]) for k in range(2)])
+
+
+def test_verify_has_no_qubit_limit():
+    report = verify_code(_steane_with_six_idle_qubits())
+    assert report["valid"] and report["enumerator_consistent"]
+    assert abs(report["enumerator_lambda_sq"] - 21) <= 1e-9
+    assert abs(report["lambda_star"] ** 2 - 21) <= 1e-9
+    assert report["lu_drift"] <= 1e-9
+
+
+def test_cli_verify_past_the_enumerator_guard(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_text(code_to_json(_steane_with_six_idle_qubits()))
+    report_path = tmp_path / "report.json"
+    assert main(["verify", str(path), "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert abs(report["enumerator_lambda_sq"] - 21) <= 1e-9
+    capsys.readouterr()
+    assert main(["enumerate", str(path)]) == 2  # the full enumerator keeps its guard
+    assert "enumerator guard: n=13 exceeds 12" in capsys.readouterr().err
+
+
 def test_verify_contracts_each_code_once(monkeypatch):
     calls = []
     values = MarginalKernel.values
@@ -177,7 +215,7 @@ def test_verify_rejects_bad_lu_samples(lu_samples):
 
 
 def test_verify_draws_the_per_factor_haar_unitaries(monkeypatch):
-    # one stacked draw gives the bytes of n per-factor draws from the same generator
+    # one stacked draw gives the bytes of per-sample, per-factor draws from the same generator
     def haar_unitary(rng):
         z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
         return orthonormalize(z)[0]

@@ -146,6 +146,52 @@ def test_enumerator_guard():
         weight_enumerators(code)
 
 
+def test_truncated_enumerator_is_the_head_of_the_full_one():
+    for n in range(1, 9):
+        for K in range(1, min(3, 2 ** n) + 1):
+            code = new_code(n, [np_rng.standard_normal(2 ** n) + 1j * np_rng.standard_normal(2 ** n)
+                                for _ in range(K)])
+            full = weight_enumerators(code)
+            for d in range(1, n + 2):
+                head = weight_enumerators(code, d)
+                assert head.n == n and len(head.A) == len(head.B) == d
+                assert np.abs(head.A - full.A[:d]).max() <= 1e-12
+                assert np.abs(head.B - full.B[:d]).max() <= 1e-12
+            assert head.A.tobytes() == full.A.tobytes()  # d = n + 1 is the full enumerator
+            assert head.B.tobytes() == full.B.tobytes()
+            assert len(weight_enumerators(code, n + 5).A) == n + 1
+
+
+def test_truncated_enumerator_has_no_qubit_limit():
+    # Steane (x) |0>^6, a degenerate ((13,2,3)) code: Z on the 6 idle qubits and their pairs
+    steane = codespace_from_stabilizer(builtin("steane"))
+    idle = np.eye(2 ** 6)[0]
+    code = new_code(13, [np.kron(steane.basis[:, k], idle) for k in range(2)])
+    we = weight_enumerators(code, 3)
+    assert np.abs(we.A - [1, 6, 15]).max() <= 1e-9
+    assert np.abs(we.B - [1, 6, 15]).max() <= 1e-9
+    assert abs(lambda_star_sq_from_enumerator(we, 3) - 21) <= 1e-9
+    with pytest.raises(ValueError, match="enumerator guard"):
+        weight_enumerators(code)
+
+
+@pytest.mark.parametrize("d", [0, -1, True, 1.5, 3.0, "3"])
+def test_weight_enumerators_rejects_bad_d(d):
+    with pytest.raises(ValueError, match="d must be an integer of at least 1"):
+        weight_enumerators(codespace_from_stabilizer(builtin("steane")), d)
+
+
+@pytest.mark.parametrize("terms, d", [
+    (None, -1), (None, 0), (None, 1), (None, 9), (None, True), (None, 2.0), (None, "3"),
+    (3, 4), (3, 1), (1, 2),
+])
+def test_lambda_sq_from_enumerator_rejects_bad_d(terms, d):
+    # d = -1 and d = 9 used to sum A[1:d] of Steane to 63, and d = 0 or 1 to 0
+    we = weight_enumerators(codespace_from_stabilizer(builtin("steane")), terms)
+    with pytest.raises(ValueError, match=rf"d must be an integer in \[2, {len(we.A)}\]"):
+        lambda_star_sq_from_enumerator(we, d)
+
+
 def test_shor_code_enumerator():
     we = weight_enumerators(codespace_from_stabilizer(builtin("shor913")))
     assert abs(lambda_star_sq_from_enumerator(we) - 9) <= 1e-10
@@ -169,3 +215,5 @@ def test_enumerator_csv():
     assert lines[0] == "j,A_j,B_j"
     assert len(lines) == 9
     assert float(lines[5].split(",")[1]) == pytest.approx(21.0, abs=1e-9)  # A_4
+    head = enumerator_to_csv(weight_enumerators(codespace_from_stabilizer(builtin("steane")), 3))
+    assert head.splitlines() == lines[:4]  # a truncated enumerator writes its rows j < d
