@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import ErrorBasis, subset_index
+from .pauli import ErrorBasis, is_integer
 
 DEFAULT_KL_TOL = 1e-10
 
@@ -153,13 +153,8 @@ def lambda_star(sig):
     return float(np.linalg.norm(sig.components))
 
 
-def is_integer(value):
-    """An int or numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def reduced_density_matrix(code, codeword, qubits):
-    """RDM of codeword 0..K-1 on distinct qubits (1-based, taken in ascending order)."""
+    """RDM of codeword 0..K-1 on distinct 1-based qubits, ascending (their axes moved last)."""
     if not is_integer(codeword) or not 0 <= codeword < code.K:
         raise ValueError(f"codeword must be an integer in 0..{code.K - 1}, got {codeword!r}")
     qubits = sorted(qubits)
@@ -167,7 +162,8 @@ def reduced_density_matrix(code, codeword, qubits):
         raise ValueError(f"qubit subset must be nonempty, proper and distinct, got {qubits}")
     if not all(map(is_integer, qubits)) or qubits[0] < 1 or qubits[-1] > code.n:
         raise ValueError(f"qubit indices must be integers in 1..{code.n}, got {qubits}")
-    m = code.basis[subset_index(code.n, [[q - 1 for q in qubits]])[0], codeword]
+    m = np.moveaxis(code.basis[:, codeword].reshape((2,) * code.n), [q - 1 for q in qubits],
+                    range(-len(qubits), 0)).reshape(-1, 2 ** len(qubits))
     return m.T @ m.conj()
 
 

@@ -134,7 +134,7 @@ def sweep(n, K, d, grid, mu=1000.0, config=None, done=None, on_row=None):
 
 
 def read_sweep_csv(text):
-    """Rows of a sweep CSV; a malformed row raises ValueError naming its line."""
+    """Rows of a sweep CSV; a malformed or non-finite row raises ValueError naming its line."""
     lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     header = lines[0][1] if lines else ""
     if header != SWEEP_CSV_HEADER:
@@ -149,9 +149,12 @@ def read_sweep_csv(text):
                 f"sweep CSV line {lineno}: {len(parts)} fields, expected {n_fields}"
             )
         try:
-            rows.append(SweepRow(*(f.type(part) for f, part in zip(columns, parts))))
+            values = [f.type(part) for f, part in zip(columns, parts)]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"non-finite value in {ln!r}")
         except ValueError as exc:
             raise ValueError(f"sweep CSV line {lineno}: {exc}") from None
+        rows.append(SweepRow(*values))
     return rows
 
 

@@ -442,8 +442,8 @@ def _restarts(m, K, action, spec, cfg, start=None):
     thread until the generator closes (a restart's calls are too small to
     gain from more, and an idle helper spins beside it).  Closing drops the
     outcomes computed ahead of the consumer and kills the workers."""
-    if not 1 <= K <= m:  # else every start is rank-deficient and the redraw never ends
-        raise ValueError(f"need 1 <= K <= {m}, got {K}")
+    if not is_integer(K) or not 1 <= K <= m:  # else the redraw of rank-deficient starts never ends
+        raise ValueError(f"need an integer 1 <= K <= {m}, got K={K!r}")
     import scipy.optimize  # noqa: F401  once, before any fork; a process with no search saves 19 MB
     seeds = list(enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)))
     workers = 1 if start is not None else min(_usable_cores(), len(seeds))
@@ -490,6 +490,8 @@ def optimize(n, K, ops, spec, config=None, *, start=None):
     summaries and ``stop_reason`` included) is the same for any number of
     cores.
     """
+    if not is_integer(n):
+        raise ValueError(f"n must be an integer, got n={n!r}")
     cfg = config or OptimizerConfig()
     m = 2 ** n
     action = _stacked_action(ops, m, spec)

@@ -8,8 +8,9 @@ i, never as floats.
 Operators reach the KL contraction only as Pauli words, through a
 ``MarginalKernel`` (``ErrorBasis.action`` for an error basis): a word of
 weight < d lies on a (d-1)-qubit subset S, so <psi_i|O|psi_j> is a linear
-read-off of S's Gram block (the subset-marginal form of Rains' weight
-enumerators), and the read-off of all words is one sparse matrix.  The
+read-off of S's Gram block, and the read-off of all words is one sparse matrix.
+The block is the code with its qubit axes transposed to rest-then-S, the
+library's one qubit split (also of RDMs and of Rains' subset purities).  The
 kernel owns that contraction (``values``) and its adjoint (``adjoint``).  No
 2^n x 2^n matrix is formed; ``dense_matrix`` (a Kronecker product) is the
 independent reference the tests compare against.
@@ -80,6 +81,11 @@ class PauliString:
         return self.letters
 
 
+def is_integer(value):
+    """An int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def pauli_from_string(text):
     """Parse a letter string such as ``"YIZXXY"``; a PauliString passes through."""
     return text if isinstance(text, PauliString) else PauliString(str(text))
@@ -134,34 +140,21 @@ def _signed_rows(x, z, y, k):
     return v, np.array(PHASES)[y % 4] * np.where(odd, -1.0, 1.0)
 
 
-def subset_index(n, subsets):
-    """Basis-state indices of shape (S, 2^(n-k), 2^k) for (S, k) subsets of
-    ascending 0-based qubits: entry [s, r, u] has subset s in state u and the
-    other qubits in state r, each in qubit order."""
-    subsets = np.asarray(subsets, dtype=np.intp)
-    rest = np.array([[q for q in range(n) if q not in s] for s in subsets.tolist()], dtype=np.intp)
-
-    def states(sites):  # (S, m) qubits -> (S, 2^m) basis indices of their joint states
-        bits = (np.arange(2 ** sites.shape[1])[:, None] & _place(sites.shape[1])) != 0
-        return _place(n)[sites] @ bits.T
-
-    return states(rest.reshape(len(subsets), -1))[:, :, None] + states(subsets)[:, None, :]
-
-
 class MarginalKernel:
     """Values <psi_i|O_a|psi_j> of equal-length Pauli words O_a (letter
     strings or PauliStrings), read off Gram blocks on the k-qubit subsets, k
     the largest weight, in combination order.
 
-    ``index`` (S, R, D) gathers a ``dim`` x K isometry psi to one block
-    psi[index[s]] per subset, and ``inverse`` undoes the gather.  Each word
-    is read on the first subset that holds its support, where it is a signed
-    permutation, the rows of ``_signed_rows``: ``readoff`` is the (n_ops, S
-    D^2) CSR matrix of those rows, applied to the blocks' Grams as rows (s,
-    u, v) of K x K blocks, and ``readoff_t``, its transpose, also CSR, reads
-    the adjoint.  Every array is read-only but ``values``' scratch buffer for
-    the conjugated blocks (remade when K changes), so one kernel must not be
-    shared by concurrent threads; what ``values`` returns is fresh.
+    ``index`` (S, R, D), the basis indices with their qubit axes transposed to
+    rest-then-subset (index[s, r, u]: subset s spells u, the rest r), gathers a
+    ``dim`` x K isometry psi to one block psi[index[s]] per subset; ``inverse``
+    undoes it.  Each word is read on the first subset that holds its support,
+    where it is a signed permutation, the rows of ``_signed_rows``: ``readoff``
+    is the (n_ops, S D^2) CSR matrix of those rows, applied to the blocks'
+    Grams as rows (s, u, v) of K x K blocks, and ``readoff_t``, its CSR
+    transpose, reads the adjoint.  Every array is read-only but ``values``'
+    scratch buffer for the conjugated blocks (remade when K changes), so one
+    kernel must not be shared by concurrent threads; what ``values`` returns is fresh.
     """
 
     def __init__(self, words):
@@ -185,9 +178,13 @@ class MarginalKernel:
             (coef.ravel(), cols.ravel(), np.arange(0, cols.size + 1, 2 ** k)),
             shape=(len(words), len(subsets) << 2 * k))
         self.readoff_t = self.readoff.T.tocsr()
-        self.index = subset_index(n, subsets)
-        S, R, D = self.index.shape
+        S, R, D = len(subsets), 2 ** (n - k), 2 ** k
         self.dim = R * D
+        qubits = np.arange(self.dim).reshape((2,) * n)  # basis index at each qubit state
+        self.index = np.empty((S, R, D), dtype=np.intp)
+        for s, keep in enumerate(subsets.tolist()):
+            rest = [q for q in range(n) if q not in keep]
+            self.index[s] = qubits.transpose(rest + keep).reshape(R, D)
         self.inverse = np.empty((S, self.dim), dtype=np.intp)
         flat_position = np.arange(S * self.dim).reshape(S, -1)
         self.inverse[np.arange(S)[:, None], self.index.reshape(S, -1)] = flat_position
@@ -221,20 +218,21 @@ class MarginalKernel:
         return np.take(np.matmul(Y, blocks).reshape(-1, K), self.inverse, axis=0).sum(0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: (6, 3.0) and (True, 2) must miss (6, 3) and (1, 2)
 def enumerate_error_basis(n, d):
     """Enumerate the error basis {O : 0 < wt(O) < d} on n qubits.
 
     Words are sorted by (weight, lexicographic letters); the letter order
-    I < X < Y < Z coincides with ASCII order.  Results are cached; ErrorBasis
-    values are immutable.
+    I < X < Y < Z coincides with ASCII order.  Results are cached, one per int
+    (n, d) that passed the checks; ErrorBasis values are immutable.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if d < 2:
-        raise ValueError(f"need d >= 2 for a non-empty error basis, got d={d}")
+    for name, value, least in (("n", n, 1), ("d", d, 2)):  # d = 1 would give no words
+        if not is_integer(value) or value < least:
+            raise ValueError(f"{name} must be an integer of at least {least}, got {name}={value!r}")
     if d > n + 1:
         raise ValueError(f"need d <= n+1, got d={d} with n={n}")
+    if (type(n), type(d)) != (int, int):  # numpy integers share the plain ints' basis
+        return enumerate_error_basis(int(n), int(d))
     ops = []
     for w in range(1, d):
         words = []
@@ -254,9 +252,7 @@ def apply_pauli(p, vec):
     p = pauli_from_string(p)
     cols, coef = _signed_rows(p.x_mask, p.z_mask, p.y_count, p.n)
     v = np.asarray(vec)
-    if v.ndim == 1:
-        return coef * v[cols]
-    return coef[:, None] * v[cols, :]
+    return coef.reshape((-1,) + (1,) * (v.ndim - 1)) * v[cols]
 
 
 def dense_matrix(p):

@@ -58,15 +58,13 @@ def _parse_row(row):
 
 
 def _gf2_rank(rows_bits):
-    rank = 0
     pivots = []
     for row in rows_bits:
         for p in pivots:
             row = min(row, row ^ p)
         if row:
             pivots.append(row)
-            rank += 1
-    return rank
+    return len(pivots)
 
 
 @dataclass(frozen=True)

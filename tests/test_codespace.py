@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -340,6 +341,23 @@ def test_rdm_contract_and_errors():
         reduced_density_matrix(code, 0, [])
     with pytest.raises(ValueError):
         reduced_density_matrix(code, 0, [1, 2, 3])
+
+
+def test_rdm_is_the_partial_trace_of_the_codeword():
+    letters = "abcde"
+    for n in range(2, 6):
+        code = random_code(n, 2)
+        for codeword in range(2):
+            psi = code.basis[:, codeword].reshape((2,) * n)
+            for k in range(1, n):
+                for keep in itertools.combinations(range(n), k):
+                    # kept qubits get their own bra letter; the rest are traced out
+                    bra = "".join(c.upper() if q in keep else c for q, c in enumerate(letters[:n]))
+                    kept = "".join(letters[q] for q in keep)
+                    rho = np.einsum(f"{letters[:n]},{bra}->{kept}{kept.upper()}", psi, psi.conj())
+                    qubits = [q + 1 for q in np_rng.permutation(keep)]  # taken in ascending order
+                    got = reduced_density_matrix(code, codeword, qubits)
+                    assert np.abs(got - rho.reshape(2 ** k, 2 ** k)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("codeword, qubits, named", [

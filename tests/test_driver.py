@@ -452,6 +452,28 @@ def test_cli_sweep_resume_rejects_truncated_row(tmp_path):
                  "--restarts", "1", "--resume", str(path)]) == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_read_sweep_csv_rejects_non_finite_values(value):
+    good = SweepRow(0.4, 1e-14, 1e-16, 0.4, 2, 10).csv()
+    for column in range(4):  # the float columns
+        parts = good.split(",")
+        parts[column] = value
+        with pytest.raises(ValueError, match="sweep CSV line 3: non-finite value"):
+            read_sweep_csv(f"{SWEEP_CSV_HEADER}\n{good}\n{','.join(parts)}\n")
+
+
+def test_cli_sweep_resume_rejects_non_finite_targets(tmp_path, capsys):
+    # sweep's own grid check rejects these targets; a resumed file must too
+    rows = [SweepRow(t, 1.0, 1e-16, 0.4, 2, 10).csv() for t in (math.inf, math.nan, 0.4)]
+    path = tmp_path / "sweep.csv"
+    path.write_text("\n".join([SWEEP_CSV_HEADER, *rows]) + "\n")
+    before = path.read_text()
+    assert main(["sweep", "--n", "2", "--K", "1", "--d", "2", "--grid", "0.4,1.9",
+                 "--restarts", "1", "--resume", str(path)]) == 2
+    assert "sweep CSV line 2: non-finite value" in capsys.readouterr().err
+    assert path.read_text() == before
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--n", "2", "--K", "1", "--d", "2", "--grid", "0.4,1.0",
      "--restarts", "1", "--max-iters", "50", "--resume"],

@@ -491,6 +491,25 @@ def test_config_rejects_bad_values(field, value):
         OptimizerConfig(**{field: value})
 
 
+@pytest.mark.parametrize("n, K, named", [
+    (2, 2.0, "1 <= K <= 4, got K=2.0"), (2, 1.5, "1 <= K <= 4, got K=1.5"),
+    (2, True, "1 <= K <= 4, got K=True"), (2.0, 1, "n must be an integer, got n=2.0"),
+    (True, 1, "n must be an integer, got n=True"),
+])
+def test_searches_reject_non_integer_sizes_before_any_restart(monkeypatch, n, K, named):
+    def no_restart(*args):
+        raise AssertionError("a restart ran")
+
+    monkeypatch.setattr(optimizer, "_run_restart", no_restart)
+    monkeypatch.setattr(optimizer, "_usable_cores", lambda: 1)
+    cfg = OptimizerConfig(restarts=1)
+    with pytest.raises(ValueError, match=named):
+        optimize(n, K, enumerate_error_basis(2, 2), LossSpec("minimize_length"), cfg)
+    if "K=" in named:  # jnr_feasibility takes its qubits from the words
+        with pytest.raises(ValueError, match=named):
+            jnr_feasibility(["XI", "ZI"], K, cfg)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_search_input_rejected(value):
     with pytest.raises(ValueError, match="kl_tol"):

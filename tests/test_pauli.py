@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from klscope.pauli import (
+    MarginalKernel,
     apply_pauli,
     commutes,
     dense_matrix,
@@ -160,6 +161,41 @@ def test_error_basis_validation():
         enumerate_error_basis(2, 4)
     with pytest.raises(ValueError):
         enumerate_error_basis(0, 2)
+
+
+@pytest.mark.parametrize("cached_first", [False, True], ids=["cold", "warm"])
+def test_error_basis_rejects_non_integers_in_any_cache_order(cached_first):
+    # the cache keys (6, 3.0) and (True, 2) equal (6, 3) and (1, 2)
+    enumerate_error_basis.cache_clear()
+    if cached_first:
+        enumerate_error_basis(6, 3)
+    for n, d, name in ((6, 3.0, "d"), (True, 2, "n"), (6.0, 3, "n"), (1, True, "d")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least"):
+            enumerate_error_basis(n, d)
+    assert type(enumerate_error_basis(1, 2).n) is int
+    assert enumerate_error_basis(np.int64(6), np.int64(3)) is enumerate_error_basis(6, 3)
+    assert type(enumerate_error_basis(6, 3).d) is int
+
+
+def test_kernel_index_spells_the_subset_and_the_rest():
+    # entry [s, r, u]: subset s's qubits spell u, the others r, each in qubit order
+    for n in range(1, 7):
+        for k in range(n + 1):
+            kernel = MarginalKernel(["X" * k + "I" * (n - k)])
+            subsets = list(itertools.combinations(range(n), k))
+            assert kernel.index.shape == (len(subsets), 2 ** (n - k), 2 ** k)
+            for s, keep in enumerate(subsets):
+                rest = [q for q in range(n) if q not in keep]
+                for r, u in itertools.product(range(2 ** (n - k)), range(2 ** k)):
+                    bits = [0] * n
+                    for j, q in enumerate(keep):
+                        bits[q] = (u >> (k - 1 - j)) & 1
+                    for j, q in enumerate(rest):
+                        bits[q] = (r >> (n - k - 1 - j)) & 1
+                    assert kernel.index[s, r, u] == int("".join(map(str, bits)), 2)
+            flat = np.arange(kernel.index.size).reshape(len(subsets), -1)
+            assert (np.take_along_axis(kernel.inverse, kernel.index.reshape(len(subsets), -1), 1)
+                    == flat).all()
 
 
 def test_error_basis_count_closed_form():

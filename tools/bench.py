@@ -23,6 +23,13 @@ iterations of one pass of the ``search`` workload, the criterion-6 sweep
 (lambda*^2, KL residual, final loss, iterations, evaluations and how each
 stage ended) of the fixed searches in SEARCHES; a target-length search's rows
 also carry ``target_gap``, lambda*^2 minus the target.
+
+Default threads: one process per side runs the ``search`` workload's seed-1606
+sweep THREADS_SWEEPS times with OPENBLAS_NUM_THREADS and OMP_NUM_THREADS unset,
+so BLAS starts with its default thread count and only the program's own pin
+(``optimizer._one_blas_thread``) and worker pool hold it down.  The record keeps
+each sweep's seconds, their median and quartiles, whether every sweep gave the
+same rows, and the thread environment the process saw.
 """
 
 import argparse
@@ -36,6 +43,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+THREADS_SWEEPS = 5
 
 # (label, n, loss kind, target lambda*^2, seed, restarts); no stop_on_loss, so
 # every restart runs
@@ -136,21 +145,43 @@ def quality(checkout):
     return out
 
 
+def default_threads_search(checkout):
+    """Seconds of THREADS_SWEEPS runs of the search workload's seed-1606 sweep
+    in this process, whose thread environment the caller sets."""
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "benchmarks")]
+    import run as bench_run
+    import workloads
+
+    sweep = workloads.WORKLOADS["search"](1606).ops[0]
+    seconds, rows = [], set()
+    for _ in range(THREADS_SWEEPS):
+        t0 = time.perf_counter()
+        result = sweep.run(lambda row: None)
+        seconds.append(time.perf_counter() - t0)
+        rows.add(tuple(r.csv().rsplit(",", 1)[0] for r in result.rows))  # all but wall_ms
+    return {"seconds": seconds, "same_rows": len(rows) == 1,
+            "summary": dict(zip(("q1", "median", "q3"), statistics.quantiles(seconds, n=4))),
+            "thread_env": bench_run.environment()["thread_env"],
+            "cores_usable": len(os.sched_getaffinity(0))}
+
+
 def run_once(checkout, workload, seed, seconds):
-    """End-to-end metrics of one run.py run in ``checkout``."""
+    """End-to-end metrics of one run.py run in ``checkout``; its stderr (a
+    traceback, if it fails) passes through."""
     done = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True, timeout=600)
+        cwd=checkout, stdout=subprocess.PIPE, text=True, check=True, timeout=600)
     line = json.loads(done.stdout.strip().splitlines()[-1])
     return {name: m["value"] for name, m in line["metrics"].items()} | {
         "failed": line["failed"], "attempted": line["attempted"]}
 
 
-def side_quality(checkout):
-    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--quality",
-                           str(checkout)], capture_output=True, text=True, check=True,
-                          timeout=1800, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+def run_child(flag, checkout, env):
+    """What this script prints with ``flag`` for ``checkout``, run in a child
+    process with the environment ``env``; its stderr passes through."""
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), flag, str(checkout)],
+                          stdout=subprocess.PIPE, text=True, check=True, timeout=1800, env=env)
     return json.loads(done.stdout)
 
 
@@ -177,11 +208,15 @@ def main(argv=None):
     parser.add_argument("--runs", nargs="+", metavar="WORKLOAD:SEED",
                         default=[f"{w['name']}:1606" for w in config["workloads"]])
     parser.add_argument("--quality", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--threads-search", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.pairs < 2:  # each side's quartiles need two runs
         parser.error(f"--pairs must be at least 2, got {args.pairs}")
     if args.quality:
         json.dump(quality(args.quality.resolve()), sys.stdout)
+        return 0
+    if args.threads_search:
+        json.dump(default_threads_search(args.threads_search.resolve()), sys.stdout)
         return 0
     if args.base is None or args.out is None:
         parser.error("--base and --out are required")
@@ -204,7 +239,12 @@ def main(argv=None):
                 print(workload, seed, side, runs[side][-1], file=sys.stderr, flush=True)
         record["workloads"].append({"workload": workload, "seed": int(seed),
                                     "summary": summarize(runs, better), "runs": runs})
-    record["quality"] = {side: side_quality(checkout) for side, checkout in sides.items()}
+    pinned = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    unpinned = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    record["quality"] = {name: run_child("--quality", checkout, pinned)
+                         for name, checkout in sides.items()}
+    record["default_threads_search"] = {name: run_child("--threads-search", checkout, unpinned)
+                                        for name, checkout in sides.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
